@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .geometry import Mode, SamplePoint, SamplePointSet, circular_points, offsets, square_points
 from .transform import (
     TransformMatrix,
-    TransformMode,
     bilinear_weight,
     build_transform,
     identity_transform,
@@ -19,8 +18,8 @@ from .transform import (
 from .analysis import verify_delta_identity
 from .autodiff import Var
 from .data import Dataset, Split, SynthKind, gen_synthetic, load_idx
-from .integrated import Branch, EvalBranch, IntegratedConv, draw_branch, integrated_forward
-from .layers import Conv2d, Linear, Module, ShapeMode
+from .integrated import EvalBranch, IntegratedConv
+from .layers import Conv2d, Linear, Module
 from .nas import (
     CellGenotype,
     PRIMITIVES,
@@ -35,13 +34,13 @@ from .train import Schedule, TrainConfig, TrainReport, train
 
 __all__ = [
     "Mode", "SamplePoint", "SamplePointSet", "circular_points", "offsets",
-    "square_points", "TransformMatrix", "TransformMode", "bilinear_weight",
+    "square_points", "TransformMatrix", "bilinear_weight",
     "build_transform", "identity_transform", "reparameterize",
     "resample_patch", "transform_gradient_pushforward",
     "verify_delta_identity", "Var", "Dataset", "Split", "SynthKind",
-    "gen_synthetic", "load_idx", "Branch", "EvalBranch", "IntegratedConv",
-    "draw_branch", "integrated_forward", "Conv2d", "Linear", "Module",
-    "ShapeMode", "CellGenotype", "PRIMITIVES", "SearchConfig",
-    "SearchNetwork", "discretize", "genotype_to_dot", "mixed_op_forward",
-    "search", "Schedule", "TrainConfig", "TrainReport", "train",
+    "gen_synthetic", "load_idx", "EvalBranch", "IntegratedConv",
+    "Conv2d", "Linear", "Module", "CellGenotype", "PRIMITIVES",
+    "SearchConfig", "SearchNetwork", "discretize", "genotype_to_dot",
+    "mixed_op_forward", "search", "Schedule", "TrainConfig", "TrainReport",
+    "train",
 ]

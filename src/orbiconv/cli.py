@@ -15,6 +15,7 @@ from . import __version__
 from .analysis import verify_delta_identity
 from .data import SynthKind, gen_synthetic
 from .experiments import (
+    Config,
     ConfigError,
     RobustnessSweep,
     SmallCNN,
@@ -23,6 +24,7 @@ from .experiments import (
     load_config,
     robustness_csv,
     robustness_eval,
+    train_config,
     write_manifest,
 )
 from .geometry import circular_points, square_points
@@ -73,23 +75,10 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(cfg.get("train.epochs", 10)),
-        batch_size=int(cfg.get("train.batch_size", 16)),
-        lr_init=float(cfg.get("train.lr_init", 0.05)),
-        momentum=float(cfg.get("train.momentum", 0.9)),
-        weight_decay=float(cfg.get("train.weight_decay", 5e-4)),
-        warmup_epochs=int(cfg.get("train.warmup_epochs", 0)),
-        seed=int(cfg.get("train.seed", 0)),
-    )
-
-
-def _build_model_and_data(cfg: dict):
+def _build_model_and_data(cfg: Config, seed: int):
     kind = SynthKind(cfg.get("data.kind", "ring_vs_cross"))
     n_per_class = int(cfg.get("data.n_per_class", 40))
     size = int(cfg.get("data.size", 16))
-    seed = int(cfg.get("train.seed", 0))
     train_ds = gen_synthetic(kind, n_per_class, size, seed)
     test_ds = gen_synthetic(kind, n_per_class, size, seed + 10_000)
     model = SmallCNN(
@@ -106,9 +95,10 @@ def _build_model_and_data(cfg: dict):
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     out_dir = cfg.get("out.dir", ".")
+    tcfg = train_config(cfg)
+    model, train_ds, test_ds = _build_model_and_data(cfg, tcfg.seed)
+    cfg.reject_unread()
     os.makedirs(out_dir, exist_ok=True)
-    model, train_ds, test_ds = _build_model_and_data(cfg)
-    tcfg = _train_config(cfg)
     report = train(model, train_ds, test_ds, tcfg)
     path = os.path.join(out_dir, "train_report.csv")
     _write(path, report.to_csv())
@@ -121,13 +111,13 @@ def _cmd_train(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out_dir = cfg.get("out.dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     csv_text, svg_text = compare_kernels(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "compare.csv")
     svg_path = os.path.join(out_dir, "compare.svg")
     _write(csv_path, csv_text)
     _write(svg_path, svg_text)
-    write_manifest(out_dir, cfg, int(cfg.get("train.seed", 0)),
+    write_manifest(out_dir, cfg, int(cfg.get("train.seed", TrainConfig.seed)),
                    [csv_path, svg_path])
     print(f"wrote {csv_path} and {svg_path}")
     return 0
@@ -136,17 +126,21 @@ def _cmd_compare(args) -> int:
 def _cmd_robustness(args) -> int:
     cfg = load_config(args.config)
     out_dir = cfg.get("out.dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    model, train_ds, test_ds = _build_model_and_data(cfg)
-    report = train(model, train_ds, test_ds, _train_config(cfg))
-    angles = [int(a) for a in cfg.get(
-        "robustness.angles", "10,20,30,40,50,60,70,80").split(",")]
+    tcfg = train_config(cfg)
+    model, train_ds, test_ds = _build_model_and_data(cfg, tcfg.seed)
+    sweep_kw = {}
+    angles = cfg.get("robustness.angles")
+    if angles is not None:
+        sweep_kw["angle_ranges"] = [int(a) for a in angles.split(",")]
     sweep = RobustnessSweep(
-        angle_ranges=angles,
-        mode=WarpMode(cfg.get("robustness.mode", "rotate")),
-        trials=int(cfg.get("robustness.trials", 3)),
-        seed=int(cfg.get("robustness.seed", 0)),
+        mode=WarpMode(cfg.get("robustness.mode", RobustnessSweep.mode.value)),
+        trials=int(cfg.get("robustness.trials", RobustnessSweep.trials)),
+        seed=int(cfg.get("robustness.seed", RobustnessSweep.seed)),
+        **sweep_kw,
     )
+    cfg.reject_unread()
+    os.makedirs(out_dir, exist_ok=True)
+    report = train(model, train_ds, test_ds, tcfg)
     rows = robustness_eval(model, test_ds, sweep)
     path = os.path.join(out_dir, "robustness.csv")
     _write(path, robustness_csv(rows))
@@ -157,21 +151,24 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = load_config(args.config)
+    d = SearchConfig
     scfg = SearchConfig(
-        num_nodes=int(cfg.get("search.num_nodes", 5)),
-        num_cells=int(cfg.get("search.num_cells", 4)),
-        channels=int(cfg.get("search.channels", 8)),
-        epochs=int(cfg.get("search.epochs", 20)),
-        batch_size=int(cfg.get("search.batch_size", 16)),
-        lr_init=float(cfg.get("search.lr_init", 0.05)),
-        weight_decay=float(cfg.get("search.weight_decay", 3e-4)),
-        alpha_lr=float(cfg.get("search.alpha_lr", 3e-3)),
-        alpha_weight_decay=float(cfg.get("search.alpha_weight_decay", 1e-3)),
-        seed=int(cfg.get("search.seed", 0)),
+        num_nodes=int(cfg.get("search.num_nodes", d.num_nodes)),
+        num_cells=int(cfg.get("search.num_cells", d.num_cells)),
+        channels=int(cfg.get("search.channels", d.channels)),
+        epochs=int(cfg.get("search.epochs", d.epochs)),
+        batch_size=int(cfg.get("search.batch_size", d.batch_size)),
+        lr_init=float(cfg.get("search.lr_init", d.lr_init)),
+        weight_decay=float(cfg.get("search.weight_decay", d.weight_decay)),
+        alpha_lr=float(cfg.get("search.alpha_lr", d.alpha_lr)),
+        alpha_weight_decay=float(cfg.get("search.alpha_weight_decay",
+                                         d.alpha_weight_decay)),
+        seed=int(cfg.get("search.seed", d.seed)),
     )
     kind = SynthKind(cfg.get("data.kind", "planted_circular"))
     n_per_class = int(cfg.get("data.n_per_class", 40))
     size = int(cfg.get("data.size", 16))
+    cfg.reject_unread()
     train_ds = gen_synthetic(kind, n_per_class, size, scfg.seed)
     val_ds = gen_synthetic(kind, n_per_class, size, scfg.seed + 10_000)
     genotypes, report, _net = search(train_ds, val_ds, scfg)

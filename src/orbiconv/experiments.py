@@ -7,12 +7,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .data import Dataset, SynthKind, gen_synthetic
+from .geometry import Mode
 from .integrated import EvalBranch, IntegratedConv
 from .autodiff import relu
 from .layers import (
@@ -20,7 +21,6 @@ from .layers import (
     Conv2d,
     Linear,
     Module,
-    ShapeMode,
     avg_pool2d,
     global_avg_pool,
 )
@@ -130,6 +130,16 @@ def robustness_csv(rows: list[dict]) -> str:
 # Comparison model and driver
 
 
+def kernel_shape(shape: str) -> Mode | None:
+    """The Mode a SmallCNN shape name stands for; None for integrated."""
+    modes = {"square": Mode.SQUARE, "circle": Mode.CIRCULAR,
+             "circular": Mode.CIRCULAR, "integrated": None}
+    if shape not in modes:
+        raise ValueError(f"unknown kernel shape {shape!r}, expected one of "
+                         f"{', '.join(modes)}")
+    return modes[shape]
+
+
 class SmallCNN(Module):
     """Three conv blocks (conv -> affine -> relu -> avg pool) + linear head."""
 
@@ -140,20 +150,19 @@ class SmallCNN(Module):
                  eval_branch: EvalBranch = EvalBranch.CIRCULAR):
         self.blocks: list[Module] = []
         self.affines: list[Module] = []
+        mode = kernel_shape(shape)
         cin = in_channels
         pad = (kernel_size - 1) // 2
         for idx, cout in enumerate(channels):
             rng = stream(seed, f"w/block{idx}")
-            if shape == "integrated":
+            if mode is None:
                 conv: Module = IntegratedConv(
                     cin, cout, kernel_size, padding=pad, p_circular=p_circular,
                     seed=seed, stream_id=f"layer{idx}", eval_branch=eval_branch,
                     rng=rng)
             else:
-                mode = (ShapeMode.CIRCULAR if shape in ("circle", "circular")
-                        else ShapeMode.SQUARE)
-                conv = Conv2d(cin, cout, kernel_size, padding=pad,
-                              shape_mode=mode, rng=rng)
+                conv = Conv2d(cin, cout, kernel_size, padding=pad, mode=mode,
+                              rng=rng)
             self.blocks.append(conv)
             self.affines.append(ChannelAffine(cout))
             cin = cout
@@ -170,25 +179,23 @@ def compare_kernels(cfg: dict) -> tuple[str, str]:
 
     Returns (long-format CSV text, SVG line chart text). CSV rows are
     shape,K,seed,final_test_err with aggregate shape,K,mean,std rows after.
+    Raises ConfigError for a key of `cfg` that the comparison does not read.
     """
+    cfg = Config(cfg)
     kind = SynthKind(cfg.get("compare.dataset", "ring_vs_cross"))
     n_per_class = int(cfg.get("compare.n_per_class", 40))
     size = int(cfg.get("compare.size", 16))
     shapes = [s.strip() for s in cfg.get("compare.shapes",
                                          "square,circle").split(",")]
+    for shape in shapes:
+        kernel_shape(shape)
     kernel_sizes = [int(k) for k in cfg.get("compare.kernel_sizes",
                                             "3,5").split(",")]
     seeds = [int(s) for s in cfg.get("compare.seeds", "0,1,2").split(",")]
-    tcfg_base = dict(
-        epochs=int(cfg.get("train.epochs", 12)),
-        batch_size=int(cfg.get("train.batch_size", 16)),
-        lr_init=float(cfg.get("train.lr_init", 0.05)),
-        momentum=float(cfg.get("train.momentum", 0.9)),
-        weight_decay=float(cfg.get("train.weight_decay", 5e-4)),
-        warmup_epochs=int(cfg.get("train.warmup_epochs", 0)),
-    )
+    tcfg = train_config(cfg)
     p_circular = float(cfg.get("integrated.p_circular", 0.5))
     eval_branch = EvalBranch(cfg.get("integrated.eval_branch", "circular"))
+    cfg.reject_unread()
 
     rows = []
     results: dict[tuple[str, int], list[float]] = {}
@@ -203,7 +210,7 @@ def compare_kernels(cfg: dict) -> tuple[str, str]:
                                  p_circular=p_circular,
                                  eval_branch=eval_branch)
                 report = train(model, train_ds, test_ds,
-                               TrainConfig(seed=seed, **tcfg_base))
+                               replace(tcfg, seed=seed))
                 err = report.test_err[-1]
                 errs.append(err)
                 rows.append(f"{shape},{k},{seed},{err!r}")
@@ -265,9 +272,44 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_config(text: str) -> dict[str, str]:
+class Config(dict):
+    """A flat config that records the keys read through `get`, so that a
+    command can reject the keys it does not know."""
+
+    def __init__(self, values=()):
+        super().__init__(values)
+        self.read: set[str] = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def reject_unread(self) -> None:
+        """Raise ConfigError naming every key not read so far, except
+        `out.dir`, which every command accepts."""
+        unknown = sorted(set(self) - self.read - {"out.dir"})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+
+
+def train_config(cfg: Config) -> TrainConfig:
+    """TrainConfig from the `train.*` keys; absent keys keep its defaults."""
+    return TrainConfig(
+        epochs=int(cfg.get("train.epochs", TrainConfig.epochs)),
+        batch_size=int(cfg.get("train.batch_size", TrainConfig.batch_size)),
+        lr_init=float(cfg.get("train.lr_init", TrainConfig.lr_init)),
+        momentum=float(cfg.get("train.momentum", TrainConfig.momentum)),
+        weight_decay=float(cfg.get("train.weight_decay",
+                                   TrainConfig.weight_decay)),
+        warmup_epochs=int(cfg.get("train.warmup_epochs",
+                                  TrainConfig.warmup_epochs)),
+        seed=int(cfg.get("train.seed", TrainConfig.seed)),
+    )
+
+
+def parse_config(text: str) -> Config:
     """Flat `key = value` config, UTF-8, `#` comments."""
-    out: dict[str, str] = {}
+    out = Config()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -279,7 +321,7 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def load_config(path: str) -> dict[str, str]:
+def load_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return parse_config(f.read())

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Var, relu
-from .integrated import Branch, IntegratedConv
+from .geometry import Mode
+from .integrated import IntegratedConv
 from .layers import (
     ChannelAffine,
     Conv2d,
     Linear,
-    ShapeMode,
     avg_pool2d,
     global_avg_pool,
     linear,
@@ -82,19 +82,19 @@ def run_all_layer_checks(seed: int = 0, *, rtol: float = 1e-6,
         return Var(rng.standard_normal(shape))
 
     # square / circular / dilated-circular convolutions
-    for name, mode, dil in (("conv_square_3x3", ShapeMode.SQUARE, 1),
-                            ("conv_circular_3x3", ShapeMode.CIRCULAR, 1),
-                            ("conv_circular_5x5_dil2", ShapeMode.CIRCULAR, 2)):
+    for name, mode, dil in (("conv_square_3x3", Mode.SQUARE, 1),
+                            ("conv_circular_3x3", Mode.CIRCULAR, 1),
+                            ("conv_circular_5x5_dil2", Mode.CIRCULAR, 2)):
         k = 5 if dil == 2 else 3
         layer = Conv2d(2, 3, k, padding=dil * (k - 1) // 2, dilation=dil,
-                       shape_mode=mode, rng=rng, dtype=np.float64)
+                       mode=mode, rng=rng, dtype=np.float64)
         x = rand_input((1, 2, 6, 6))
         proj = rng.standard_normal(3 * 6 * 6)
         leaves = {"x": x, "w": layer.weights, "b": layer.bias}
         run(name, lambda l=layer, x=x, p=proj: _loss_of(l(x), p), leaves)
 
     # separable: depthwise (circular) followed by pointwise
-    dw = Conv2d(2, 2, 3, padding=1, shape_mode=ShapeMode.CIRCULAR,
+    dw = Conv2d(2, 2, 3, padding=1, mode=Mode.CIRCULAR,
                 depthwise=True, bias=False, rng=rng, dtype=np.float64)
     pw = Conv2d(2, 3, 1, bias=False, rng=rng, dtype=np.float64)
     x = rand_input((1, 2, 5, 5))
@@ -103,7 +103,7 @@ def run_all_layer_checks(seed: int = 0, *, rtol: float = 1e-6,
         {"x": x, "w_dw": dw.weights, "w_pw": pw.weights})
 
     # integrated layer with the branch frozen on each side
-    for branch in (Branch.SQUARE, Branch.CIRCULAR):
+    for branch in (Mode.SQUARE, Mode.CIRCULAR):
         layer = IntegratedConv(2, 2, 3, padding=1, seed=seed, rng=rng,
                                dtype=np.float64)
         layer.current_choice = branch
@@ -111,7 +111,7 @@ def run_all_layer_checks(seed: int = 0, *, rtol: float = 1e-6,
         proj = rng.standard_normal(2 * 5 * 5)
         run(f"integrated_frozen_{branch.value}",
             lambda l=layer, x=x, p=proj: _loss_of(l(x), p),
-            {"x": x, "w": layer.base.weights, "b": layer.base.bias})
+            {"x": x, "w": layer.weights, "b": layer.bias})
 
     # pooling
     x = rand_input((2, 2, 6, 6))

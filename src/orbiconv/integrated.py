@@ -1,6 +1,6 @@
-"""Integrated kernels: one shared weight tensor, two transformation
-matrices (identity for the square branch, B for the circular one), with the
-active branch re-drawn per layer per training iteration.
+"""Integrated kernels: one shared weight tensor, two kernel shapes (no
+transform for the square branch, B for the circular one), with the active
+branch re-drawn per layer per training iteration.
 
 The draw is a pure function of (seed, stream id, iteration), so runs replay
 exactly and degenerate probabilities (p = 0 or 1) reduce bit-for-bit to the
@@ -13,26 +13,25 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import Var
-from .geometry import circular_points
-from .layers import Conv2d, Module, ShapeMode, conv2d
+from .autodiff import Var, add, scale
+from .geometry import Mode
+from .layers import Conv2d
 from .rng import stream
-from .transform import build_transform, identity_transform
-
-
-class Branch(Enum):
-    SQUARE = "square"
-    CIRCULAR = "circular"
 
 
 class EvalBranch(Enum):
+    """Evaluation kernel shape: the Mode of the same value, or AVERAGE."""
     SQUARE = "square"
     CIRCULAR = "circular"
     AVERAGE = "average"
 
 
-class IntegratedConv(Module):
-    """Convolution layer whose kernel shape is sampled each iteration."""
+class IntegratedConv(Conv2d):
+    """Convolution layer whose kernel shape is sampled each iteration.
+
+    The inherited `transform` is the circular matrix B; the square branch
+    convolves without a transform.
+    """
 
     def __init__(self, cin: int, cout: int, k: int, *, stride: int = 1,
                  padding: int = 0, dilation: int = 1, p_circular: float = 0.5,
@@ -42,60 +41,38 @@ class IntegratedConv(Module):
                  dtype=np.float32):
         if not 0.0 <= p_circular <= 1.0:
             raise ValueError("p_circular must be in [0, 1]")
-        self.base = Conv2d(cin, cout, k, stride=stride, padding=padding,
-                           dilation=dilation, shape_mode=ShapeMode.SQUARE,
-                           depthwise=depthwise, bias=bias, rng=rng, dtype=dtype)
-        self.base.shape_mode = ShapeMode.INTEGRATED
-        self.b_identity = identity_transform(k, dilation)
-        self.b_circular = build_transform(circular_points(k, dilation))
+        super().__init__(cin, cout, k, stride=stride, padding=padding,
+                         dilation=dilation, mode=Mode.CIRCULAR,
+                         depthwise=depthwise, bias=bias, rng=rng, dtype=dtype)
         self.p_circular = p_circular
         self.seed = seed
         self.stream_id = stream_id
         self.eval_branch = eval_branch
-        self.current_choice = Branch.CIRCULAR
+        self.current_choice = Mode.CIRCULAR
         self._averaging = False
 
-    def draw_for_iteration(self, iteration: int) -> Branch:
+    def draw_for_iteration(self, iteration: int) -> Mode:
         """Re-draw the active branch; deterministic in (seed, stream, iteration)."""
         self._averaging = False
         if self.p_circular >= 1.0:
-            self.current_choice = Branch.CIRCULAR
+            self.current_choice = Mode.CIRCULAR
         elif self.p_circular <= 0.0:
-            self.current_choice = Branch.SQUARE
+            self.current_choice = Mode.SQUARE
         else:
             u = stream(self.seed, f"integrated/{self.stream_id}", iteration).random()
-            self.current_choice = (Branch.CIRCULAR if u < self.p_circular
-                                   else Branch.SQUARE)
+            self.current_choice = (Mode.CIRCULAR if u < self.p_circular
+                                   else Mode.SQUARE)
         return self.current_choice
 
     def enter_eval(self) -> None:
         """Pin the branch for evaluation per the configured eval rule."""
         self._averaging = self.eval_branch is EvalBranch.AVERAGE
-        if self.eval_branch is EvalBranch.SQUARE:
-            self.current_choice = Branch.SQUARE
-        elif self.eval_branch is EvalBranch.CIRCULAR:
-            self.current_choice = Branch.CIRCULAR
-
-    def _conv(self, x: Var, transform) -> Var:
-        return conv2d(x, self.base.weights, self.base.bias,
-                      stride=self.base.stride, padding=self.base.padding,
-                      dilation=self.base.dilation, transform=transform,
-                      depthwise=self.base.depthwise)
+        if not self._averaging:
+            self.current_choice = Mode(self.eval_branch.value)
 
     def forward(self, x: Var) -> Var:
         if self._averaging:
-            a = self._conv(x, self.b_identity)
-            b = self._conv(x, self.b_circular)
-            from .autodiff import add, scale
-            return scale(add(a, b), 0.5)
-        transform = (self.b_circular if self.current_choice is Branch.CIRCULAR
-                     else self.b_identity)
-        return self._conv(x, transform)
-
-
-def draw_branch(layer: IntegratedConv, iteration: int) -> Branch:
-    return layer.draw_for_iteration(iteration)
-
-
-def integrated_forward(x: Var, layer: IntegratedConv) -> Var:
-    return layer.forward(x)
+            return scale(add(self._conv(x, None), self._conv(x, self.transform)),
+                         0.5)
+        return self._conv(x, self.transform
+                          if self.current_choice is Mode.CIRCULAR else None)

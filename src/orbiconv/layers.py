@@ -9,31 +9,24 @@ modules.
 Circular layers hold a TransformMatrix and re-parameterize their weights
 once per forward pass (effective kernel = B^T @ w); the backward pass maps
 the effective-kernel gradient back through the adjoint (B @ g). Square
-layers use an identity transform and skip the product entirely, so a square
-layer and a circular layer differ only in the fixed matrix.
+layers hold no transform and skip the product entirely, so a square layer
+and a circular layer differ only in the fixed matrix.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .autodiff import Var
+from .geometry import Mode, circular_points
 from .transform import (
     TransformMatrix,
-    identity_transform,
+    build_transform,
     reparameterize,
     transform_gradient_pushforward,
 )
 
 _PATCH_INDEX_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-class ShapeMode(Enum):
-    SQUARE = "square"
-    CIRCULAR = "circular"
-    INTEGRATED = "integrated"
 
 
 def _out_size(n: int, k: int, stride: int, pad: int, dil: int) -> int:
@@ -109,7 +102,7 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
 
     kk = k * k
     w_flat = weights.data.reshape(cout, cin, kk)
-    if transform is not None and not transform.is_identity():
+    if transform is not None:
         if transform.kernel_size != k or transform.dilation != dilation:
             raise ValueError("transform does not match kernel size/dilation")
         w_eff = reparameterize(w_flat, transform)
@@ -138,7 +131,7 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
         if depthwise:
             if weights.requires_grad:
                 g_eff = np.einsum("ncl,nckl->ck", gl, patches).reshape(c, 1, kk)
-                if transform is not None and not transform.is_identity():
+                if transform is not None:
                     g_eff = transform_gradient_pushforward(g_eff, transform)
                 weights.accumulate(g_eff.reshape(weights.data.shape))
             if x.requires_grad:
@@ -149,7 +142,7 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
             pf = patches.reshape(n, cin * kk, -1)
             if weights.requires_grad:
                 g_eff = np.einsum("nol,nfl->of", gl, pf).reshape(cout, cin, kk)
-                if transform is not None and not transform.is_identity():
+                if transform is not None:
                     g_eff = transform_gradient_pushforward(g_eff, transform)
                 weights.accumulate(g_eff.reshape(weights.data.shape))
             if x.requires_grad:
@@ -296,32 +289,21 @@ class Module:
 
 
 class Conv2d(Module):
-    """A convolution layer with a kernel-shape mode.
+    """A convolution layer with a kernel shape.
 
-    shape_mode SQUARE uses an identity transform; CIRCULAR re-parameterizes
-    through the fixed bilinear matrix. INTEGRATED layers are built in the
-    integrated module on top of this class.
+    A SQUARE layer convolves its weights as they are; a CIRCULAR layer
+    re-parameterizes them through the fixed bilinear matrix B.
     """
 
     def __init__(self, cin: int, cout: int, k: int, *, stride: int = 1,
-                 padding: int = 0, dilation: int = 1,
-                 shape_mode: ShapeMode = ShapeMode.SQUARE,
-                 transform: TransformMatrix | None = None,
+                 padding: int = 0, dilation: int = 1, mode: Mode = Mode.SQUARE,
                  depthwise: bool = False, bias: bool = True,
                  rng=None, dtype=np.float32):
         if k % 2 == 0 or k < 1:
             raise ValueError(f"kernel size must be odd, got {k}")
-        if shape_mode is ShapeMode.CIRCULAR:
-            if transform is None:
-                from .geometry import circular_points
-                from .transform import build_transform
-                transform = build_transform(circular_points(k, dilation))
-            if transform.kernel_size != k or transform.dilation != dilation:
-                raise ValueError("transform mismatch with (K, dilation)")
-        elif shape_mode is ShapeMode.SQUARE:
-            transform = identity_transform(k, dilation)
-        self.shape_mode = shape_mode
-        self.transform = transform
+        self.transform: TransformMatrix | None = (
+            build_transform(circular_points(k, dilation))
+            if mode is Mode.CIRCULAR else None)
         self.stride = stride
         self.padding = padding
         self.dilation = dilation
@@ -333,10 +315,13 @@ class Conv2d(Module):
         self.weights = Var(kaiming_uniform(wc, fan_in, rng, dtype))
         self.bias = Var(np.zeros(cout, dtype=dtype)) if bias else None
 
-    def forward(self, x: Var) -> Var:
+    def _conv(self, x: Var, transform: TransformMatrix | None) -> Var:
         return conv2d(x, self.weights, self.bias, stride=self.stride,
                       padding=self.padding, dilation=self.dilation,
-                      transform=self.transform, depthwise=self.depthwise)
+                      transform=transform, depthwise=self.depthwise)
+
+    def forward(self, x: Var) -> Var:
+        return self._conv(x, self.transform)
 
 
 class Linear(Module):

@@ -20,19 +20,18 @@ import numpy as np
 
 from .autodiff import Var, add, relu, softmax_vec, weighted_sum
 from .data import Dataset
+from .geometry import Mode
 from .layers import (
     ChannelAffine,
     Conv2d,
     Linear,
     Module,
-    ShapeMode,
     avg_pool2d,
     global_avg_pool,
     max_pool2d,
-    softmax_cross_entropy,
 )
 from .rng import stream
-from .train import NumericalError, SGD, Schedule, TrainConfig, evaluate, lr_at
+from .train import SGD, Schedule, TrainConfig, backprop, evaluate, lr_at
 
 PRIMITIVES = [
     "sep_conv_3x3",
@@ -93,13 +92,12 @@ class SepConv(Module):
     """relu -> depthwise KxK -> pointwise 1x1 -> per-channel affine."""
 
     def __init__(self, c: int, k: int, stride: int, *, dilation: int = 1,
-                 circular: bool = False, rng=None, dtype=np.float32):
+                 mode: Mode = Mode.SQUARE, rng=None, dtype=np.float32):
         pad = dilation * (k - 1) // 2
-        mode = ShapeMode.CIRCULAR if circular else ShapeMode.SQUARE
         self.depthwise = Conv2d(c, c, k, stride=stride, padding=pad,
-                                dilation=dilation, shape_mode=mode,
+                                dilation=dilation, mode=mode,
                                 depthwise=True, bias=False, rng=rng, dtype=dtype)
-        if circular:
+        if mode is Mode.CIRCULAR:
             # the transform shrinks the effective kernel's variance; rescale
             # the init so both kernel shapes start at the same output scale
             dense = self.depthwise.transform.dense()
@@ -123,9 +121,9 @@ def make_op(name: str, c: int, stride: int, rng, dtype=np.float32) -> Module:
     if name == "dil_conv_5x5":
         return SepConv(c, 5, stride, dilation=2, rng=rng, dtype=dtype)
     if name == "circ_sep_conv_5x5":
-        return SepConv(c, 5, stride, circular=True, rng=rng, dtype=dtype)
+        return SepConv(c, 5, stride, mode=Mode.CIRCULAR, rng=rng, dtype=dtype)
     if name == "circ_dil_conv_5x5":
-        return SepConv(c, 5, stride, dilation=2, circular=True, rng=rng,
+        return SepConv(c, 5, stride, dilation=2, mode=Mode.CIRCULAR, rng=rng,
                        dtype=dtype)
     if name == "max_pool_3x3":
         return Pool("max", stride)
@@ -394,6 +392,7 @@ def search(train_split: Dataset, val_split: Dataset,
                        schedule=Schedule.COSINE, seed=cfg.seed)
     w_opt = SGD(weights, cfg.momentum, cfg.weight_decay)
     a_opt = Adam(arch, cfg.alpha_lr, cfg.alpha_betas, cfg.alpha_weight_decay)
+    opts = (w_opt, a_opt)
     report = SearchReport()
     n_train, n_val = len(train_split), len(val_split)
     for epoch in range(cfg.epochs):
@@ -404,31 +403,17 @@ def search(train_split: Dataset, val_split: Dataset,
         n_batches = (n_train + cfg.batch_size - 1) // cfg.batch_size
         for b in range(n_batches):
             t_idx = t_order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            x = Var(train_split.images[t_idx], requires_grad=False)
-            loss = softmax_cross_entropy(net(x), train_split.labels[t_idx])
-            if not np.isfinite(loss.data):
-                raise NumericalError(f"non-finite weight-phase loss at epoch "
-                                     f"{epoch}, batch {b}")
-            w_opt.zero_grad()
-            a_opt.zero_grad()
-            loss.backward()
+            t_losses.append(backprop(net, train_split, t_idx, opts,
+                                     f"epoch {epoch}, batch {b}, weight phase"))
             w_opt.step(lr)
-            t_losses.append(float(loss.data))
 
             v_start = (b * cfg.batch_size) % max(1, n_val)
             v_idx = v_order[v_start:v_start + cfg.batch_size]
             if len(v_idx) == 0:
                 v_idx = v_order[:cfg.batch_size]
-            xv = Var(val_split.images[v_idx], requires_grad=False)
-            vloss = softmax_cross_entropy(net(xv), val_split.labels[v_idx])
-            if not np.isfinite(vloss.data):
-                raise NumericalError(f"non-finite alpha-phase loss at epoch "
-                                     f"{epoch}, batch {b}")
-            w_opt.zero_grad()
-            a_opt.zero_grad()
-            vloss.backward()
+            v_losses.append(backprop(net, val_split, v_idx, opts,
+                                     f"epoch {epoch}, batch {b}, alpha phase"))
             a_opt.step()
-            v_losses.append(float(vloss.data))
         report.train_loss.append(float(np.mean(t_losses)))
         report.val_loss.append(float(np.mean(v_losses)))
         report.val_err.append(evaluate(net, val_split))

@@ -32,15 +32,22 @@ def save_tensor(path: str, arr: np.ndarray) -> None:
         f.write(a.astype(a.dtype.newbyteorder("<")).tobytes())
 
 
+def _read_exact(f, n: int, path: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise OrbtFormatError(f"{path}: truncated header")
+    return data
+
+
 def load_tensor(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
             raise OrbtFormatError(f"{path}: bad magic {magic!r}")
-        code, rank = struct.unpack("<BB", f.read(2))
+        code, rank = struct.unpack("<BB", _read_exact(f, 2, path))
         if code not in _DTYPE_CODES:
             raise OrbtFormatError(f"{path}: unknown dtype code {code}")
-        dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
+        dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, path))
         dtype = _DTYPE_CODES[code]
         n = int(np.prod(dims)) if rank else 1
         payload = f.read()

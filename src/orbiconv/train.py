@@ -99,6 +99,24 @@ def evaluate(model: Module, ds: Dataset, batch_size: int = 64) -> float:
     return wrong / max(1, len(ds))
 
 
+def backprop(model: Module, ds: Dataset, idx: np.ndarray, opts,
+             where: str) -> float:
+    """One forward and backward pass on the samples `idx` of `ds`.
+
+    Computes the cross-entropy loss, raises NumericalError naming `where`
+    if it is not finite, zeroes the gradients of every optimizer in `opts`
+    and backpropagates. Returns the loss; stepping is left to the caller.
+    """
+    x = Var(ds.images[idx], requires_grad=False)
+    loss = softmax_cross_entropy(model(x), ds.labels[idx])
+    if not np.isfinite(loss.data):
+        raise NumericalError(f"non-finite loss at {where}")
+    for opt in opts:
+        opt.zero_grad()
+    loss.backward()
+    return float(loss.data)
+
+
 def train(model: Module, train_ds: Dataset, test_ds: Dataset,
           cfg: TrainConfig) -> TrainReport:
     """Train `model` in place; returns the per-epoch report.
@@ -120,15 +138,10 @@ def train(model: Module, train_ds: Dataset, test_ds: Dataset,
             idx = order[start:start + cfg.batch_size]
             for layer in integrated:
                 layer.draw_for_iteration(iteration)
-            x = Var(train_ds.images[idx], requires_grad=False)
-            loss = softmax_cross_entropy(model(x), train_ds.labels[idx])
-            if not np.isfinite(loss.data):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}")
-            opt.zero_grad()
-            loss.backward()
+            losses.append(backprop(
+                model, train_ds, idx, (opt,),
+                f"epoch {epoch}, batch {start // cfg.batch_size}"))
             opt.step(lr)
-            losses.append(float(loss.data))
             iteration += 1
         report.train_loss.append(float(np.mean(losses)))
         for layer in integrated:

@@ -20,16 +20,10 @@ convolution into a standard convolution with the effective kernel B^T @ w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .geometry import Mode, SamplePoint, SamplePointSet
-
-
-class TransformMode(Enum):
-    IDENTITY = "identity"
-    CIRCULAR = "circular"
 
 
 class TransformBuildError(ValueError):
@@ -42,7 +36,6 @@ class TransformMatrix:
     dilation: int
     # rows[i] is a tuple of (column, coefficient) pairs, at most 4 per row
     rows: tuple[tuple[tuple[int, float], ...], ...]
-    mode_tag: TransformMode
 
     @property
     def n(self) -> int:
@@ -56,7 +49,7 @@ class TransformMatrix:
         return out
 
     def is_identity(self) -> bool:
-        return self.mode_tag is TransformMode.IDENTITY
+        return all(row == ((i, 1.0),) for i, row in enumerate(self.rows))
 
 
 def bilinear_weight(s: SamplePoint, r: SamplePoint) -> float:
@@ -67,9 +60,9 @@ def bilinear_weight(s: SamplePoint, r: SamplePoint) -> float:
 
 
 def identity_transform(kernel_size: int, dilation: int = 1) -> TransformMatrix:
-    """The identity matrix; used by the square branch of integrated kernels."""
+    """The identity matrix, the transform a square kernel would have."""
     rows = tuple(((i, 1.0),) for i in range(kernel_size**2))
-    return TransformMatrix(kernel_size, dilation, rows, TransformMode.IDENTITY)
+    return TransformMatrix(kernel_size, dilation, rows)
 
 
 def build_transform(geometry: SamplePointSet) -> TransformMatrix:
@@ -100,14 +93,14 @@ def build_transform(geometry: SamplePointSet) -> TransformMatrix:
                 f"the {k}x{k} patch (weights sum to {total:.6f})"
             )
         rows.append(tuple(entries))
-    return TransformMatrix(k, d, tuple(rows), TransformMode.CIRCULAR)
+    return TransformMatrix(k, d, tuple(rows))
 
 
 def reparameterize(weights: np.ndarray, b: TransformMatrix) -> np.ndarray:
     """Effective kernel B^T @ w for a flat K^2 weight vector.
 
     Computed once per forward pass; the result plugged into a standard
-    convolution reproduces the circular convolution exactly. Identity-mode
+    convolution reproduces the circular convolution exactly. Identity
     transforms return the input unchanged (same object).
     """
     w = np.asarray(weights)

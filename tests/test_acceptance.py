@@ -23,9 +23,9 @@ from orbiconv.experiments import (
     SmallCNN,
     robustness_eval,
 )
-from orbiconv.geometry import circular_points
+from orbiconv.geometry import Mode, circular_points
 from orbiconv.gradcheck import run_all_layer_checks
-from orbiconv.integrated import Branch, EvalBranch, IntegratedConv
+from orbiconv.integrated import EvalBranch, IntegratedConv
 from orbiconv.nas import (
     Identity,
     PRIMITIVES,
@@ -185,7 +185,7 @@ def test_integrated_kernel_reduction_and_draw_frequency():
         _integrated_run("circular", 1.0, EvalBranch.CIRCULAR)
     layer = IntegratedConv(1, 1, 3, p_circular=0.5, seed=0)
     n = 10_000
-    hits = sum(layer.draw_for_iteration(i) is Branch.CIRCULAR
+    hits = sum(layer.draw_for_iteration(i) is Mode.CIRCULAR
                for i in range(n))
     sigma = np.sqrt(n * 0.25)
     assert abs(hits - n * 0.5) <= 4 * sigma

@@ -140,3 +140,13 @@ def test_search_command(tmp_path):
 def test_identity_check(capsys):
     assert main(["identity-check", "--trials", "5"]) == 0
     assert "relative difference" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, named", [("train.epoch = 3", "train.epoch"),
+                                         ("model.shape = cirlce", "cirlce")])
+def test_train_rejects_unknown_key_or_shape(tmp_path, capsys, line, named):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"{line}\nout.dir = {tmp_path / 'out'}\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

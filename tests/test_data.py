@@ -153,6 +153,9 @@ def test_orbt_bad_magic_and_truncation(tmp_path):
     good = tmp_path / "good.orbt"
     save_tensor(str(good), np.ones((2, 2), dtype=np.float32))
     cut = tmp_path / "cut.orbt"
-    cut.write_bytes(good.read_bytes()[:-3])
-    with pytest.raises(OrbtFormatError, match="truncated"):
-        load_tensor(str(cut))
+    # inside the payload; after the magic; inside and after the dtype/rank
+    # bytes; inside the extents
+    for end in (-3, 4, 5, 6, 9):
+        cut.write_bytes(good.read_bytes()[:end])
+        with pytest.raises(OrbtFormatError, match="truncated"):
+            load_tensor(str(cut))

@@ -129,6 +129,15 @@ def test_compare_kernels_csv_and_svg():
     assert "circle" in svg_text and "square" in svg_text
 
 
+def test_unknown_shape_and_config_key_rejected():
+    with pytest.raises(ValueError, match="cirlce"):
+        SmallCNN(shape="cirlce")
+    with pytest.raises(ValueError, match="cirlce"):
+        compare_kernels({"compare.shapes": "square,cirlce"})
+    with pytest.raises(ConfigError, match="compare.seed$"):
+        compare_kernels({"compare.seed": "0", "out.dir": "."})
+
+
 def test_parse_config():
     text = """
     # comment line

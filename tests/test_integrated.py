@@ -4,8 +4,9 @@ import pytest
 from orbiconv.autodiff import Var
 from orbiconv.data import Split, SynthKind, gen_synthetic
 from orbiconv.experiments import SmallCNN
-from orbiconv.integrated import Branch, EvalBranch, IntegratedConv, draw_branch
-from orbiconv.layers import Conv2d, ShapeMode
+from orbiconv.geometry import Mode
+from orbiconv.integrated import EvalBranch, IntegratedConv
+from orbiconv.layers import Conv2d
 from orbiconv.train import TrainConfig, train
 
 
@@ -13,9 +14,9 @@ def test_branches_share_one_weight_tensor():
     layer = IntegratedConv(1, 2, 3, seed=0, dtype=np.float64)
     x = Var(np.random.default_rng(0).standard_normal((1, 1, 5, 5)),
             requires_grad=False)
-    layer.current_choice = Branch.SQUARE
+    layer.current_choice = Mode.SQUARE
     sq = layer(x)
-    layer.current_choice = Branch.CIRCULAR
+    layer.current_choice = Mode.CIRCULAR
     ci = layer(x)
     assert not np.array_equal(sq.data, ci.data)
     assert len(layer.params()) == 2  # one kernel tensor plus one bias
@@ -24,9 +25,9 @@ def test_branches_share_one_weight_tensor():
 def test_square_branch_matches_plain_square_conv():
     rng = np.random.default_rng(1)
     layer = IntegratedConv(1, 1, 3, p_circular=0.0, dtype=np.float64)
-    plain = Conv2d(1, 1, 3, shape_mode=ShapeMode.SQUARE, dtype=np.float64)
-    plain.weights.data = layer.base.weights.data.copy()
-    plain.bias.data = layer.base.bias.data.copy()
+    plain = Conv2d(1, 1, 3, mode=Mode.SQUARE, dtype=np.float64)
+    plain.weights.data = layer.weights.data.copy()
+    plain.bias.data = layer.bias.data.copy()
     layer.draw_for_iteration(0)
     x = Var(rng.standard_normal((1, 1, 6, 6)), requires_grad=False)
     assert np.array_equal(layer(x).data, plain(x).data)
@@ -34,9 +35,9 @@ def test_square_branch_matches_plain_square_conv():
 
 def test_degenerate_probabilities_short_circuit():
     layer = IntegratedConv(1, 1, 3, p_circular=1.0)
-    assert all(draw_branch(layer, i) is Branch.CIRCULAR for i in range(20))
+    assert all(layer.draw_for_iteration(i) is Mode.CIRCULAR for i in range(20))
     layer = IntegratedConv(1, 1, 3, p_circular=0.0)
-    assert all(draw_branch(layer, i) is Branch.SQUARE for i in range(20))
+    assert all(layer.draw_for_iteration(i) is Mode.SQUARE for i in range(20))
 
 
 def test_invalid_probability_rejected():
@@ -54,7 +55,7 @@ def test_draws_are_deterministic_per_iteration():
 def test_draw_frequency_within_four_sigma():
     layer = IntegratedConv(1, 1, 3, p_circular=0.5, seed=0)
     n = 10_000
-    hits = sum(layer.draw_for_iteration(i) is Branch.CIRCULAR
+    hits = sum(layer.draw_for_iteration(i) is Mode.CIRCULAR
                for i in range(n))
     sigma = np.sqrt(n * 0.25)
     assert abs(hits - n * 0.5) <= 4 * sigma
@@ -67,8 +68,8 @@ def test_layers_draw_independently():
     n = 4000
     table = np.zeros((2, 2))
     for i in range(n):
-        ra = int(a.draw_for_iteration(i) is Branch.CIRCULAR)
-        rb = int(b.draw_for_iteration(i) is Branch.CIRCULAR)
+        ra = int(a.draw_for_iteration(i) is Mode.CIRCULAR)
+        rb = int(b.draw_for_iteration(i) is Mode.CIRCULAR)
         table[ra, rb] += 1
     row = table.sum(axis=1, keepdims=True)
     col = table.sum(axis=0, keepdims=True)
@@ -80,9 +81,9 @@ def test_layers_draw_independently():
 def test_eval_branch_pinning():
     layer = IntegratedConv(1, 1, 3, p_circular=0.5,
                            eval_branch=EvalBranch.SQUARE)
-    layer.current_choice = Branch.CIRCULAR
+    layer.current_choice = Mode.CIRCULAR
     layer.enter_eval()
-    assert layer.current_choice is Branch.SQUARE
+    assert layer.current_choice is Mode.SQUARE
 
 
 def test_eval_average_is_mean_of_branches():
@@ -90,9 +91,9 @@ def test_eval_average_is_mean_of_branches():
     layer = IntegratedConv(1, 1, 3, eval_branch=EvalBranch.AVERAGE,
                            dtype=np.float64)
     x = Var(rng.standard_normal((1, 1, 5, 5)), requires_grad=False)
-    layer.current_choice = Branch.SQUARE
+    layer.current_choice = Mode.SQUARE
     sq = layer(x).data
-    layer.current_choice = Branch.CIRCULAR
+    layer.current_choice = Mode.CIRCULAR
     ci = layer(x).data
     layer.enter_eval()
     assert np.allclose(layer(x).data, 0.5 * (sq + ci), atol=1e-12)

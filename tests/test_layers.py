@@ -4,10 +4,9 @@ import pytest
 from conftest import direct_circular_conv, direct_square_conv
 from orbiconv.autodiff import Var
 from orbiconv.gradcheck import run_all_layer_checks
-from orbiconv.geometry import circular_points
+from orbiconv.geometry import Mode, circular_points
 from orbiconv.layers import (
     Conv2d,
-    ShapeMode,
     avg_pool2d,
     conv2d,
     max_pool2d,
@@ -87,7 +86,7 @@ def test_even_kernel_rejected():
 def test_square_mode_identity_transform_is_plain_conv():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((1, 2, 6, 6))
-    layer = Conv2d(2, 3, 3, padding=1, shape_mode=ShapeMode.SQUARE,
+    layer = Conv2d(2, 3, 3, padding=1, mode=Mode.SQUARE,
                    rng=rng, dtype=np.float64)
     out1 = layer(Var(x, requires_grad=False)).data
     out2 = conv2d(Var(x, requires_grad=False), layer.weights, layer.bias,
@@ -98,7 +97,7 @@ def test_square_mode_identity_transform_is_plain_conv():
 def test_separable_equals_explicit_composition():
     rng = np.random.default_rng(12)
     dw = Conv2d(2, 2, 3, padding=1, depthwise=True, bias=False,
-                shape_mode=ShapeMode.CIRCULAR, rng=rng, dtype=np.float64)
+                mode=Mode.CIRCULAR, rng=rng, dtype=np.float64)
     pw = Conv2d(2, 3, 1, bias=False, rng=rng, dtype=np.float64)
     x = Var(rng.standard_normal((1, 2, 5, 5)), requires_grad=False)
     composed = pw(dw(x)).data

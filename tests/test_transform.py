@@ -9,7 +9,6 @@ from orbiconv.layers import conv2d, extract_patches
 from orbiconv.autodiff import Var
 from orbiconv.transform import (
     TransformBuildError,
-    TransformMode,
     bilinear_weight,
     build_transform,
     identity_transform,
@@ -86,7 +85,7 @@ def test_k3_exactly_five_basis_rows():
 
 def test_identity_transform():
     b = identity_transform(3)
-    assert b.mode_tag is TransformMode.IDENTITY
+    assert b.is_identity()
     assert np.array_equal(b.dense(), np.eye(9))
 
 
