@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .experiments import (
     ConfigError,
     RobustnessSweep,
     SmallCNN,
-    WarpMode,
     compare_kernels,
+    from_config,
     load_config,
     robustness_csv,
     robustness_eval,
@@ -76,18 +77,19 @@ def _cmd_gen_data(args) -> int:
 
 
 def _build_model_and_data(cfg: Config, seed: int):
-    kind = SynthKind(cfg.get("data.kind", "ring_vs_cross"))
-    n_per_class = int(cfg.get("data.n_per_class", 40))
-    size = int(cfg.get("data.size", 16))
+    kind = cfg.value("data.kind", SynthKind, SynthKind.RING_VS_CROSS)
+    n_per_class = cfg.value("data.n_per_class", int, 40)
+    size = cfg.value("data.size", int, 16)
     train_ds = gen_synthetic(kind, n_per_class, size, seed)
     test_ds = gen_synthetic(kind, n_per_class, size, seed + 10_000)
     model = SmallCNN(
-        kernel_size=int(cfg.get("model.kernel_size", 3)),
+        kernel_size=cfg.value("model.kernel_size", int, 3),
         shape=cfg.get("model.shape", "square"),
         seed=seed,
         num_classes=train_ds.num_classes,
-        p_circular=float(cfg.get("integrated.p_circular", 0.5)),
-        eval_branch=EvalBranch(cfg.get("integrated.eval_branch", "circular")),
+        p_circular=cfg.value("integrated.p_circular", float, 0.5),
+        eval_branch=cfg.value("integrated.eval_branch", EvalBranch,
+                              EvalBranch.CIRCULAR),
     )
     return model, train_ds, test_ds
 
@@ -103,8 +105,7 @@ def _cmd_train(args) -> int:
     path = os.path.join(out_dir, "train_report.csv")
     _write(path, report.to_csv())
     write_manifest(out_dir, cfg, tcfg.seed, [path])
-    if report.test_err:
-        print(f"final test error: {report.test_err[-1]:.4f}")
+    print(f"final test error: {report.test_err[-1]:.4f}")
     return 0
 
 
@@ -117,8 +118,8 @@ def _cmd_compare(args) -> int:
     svg_path = os.path.join(out_dir, "compare.svg")
     _write(csv_path, csv_text)
     _write(svg_path, svg_text)
-    write_manifest(out_dir, cfg, int(cfg.get("train.seed", TrainConfig.seed)),
-                   [csv_path, svg_path])
+    seed = cfg.value("train.seed", int, TrainConfig.seed)
+    write_manifest(out_dir, cfg, seed, [csv_path, svg_path])
     print(f"wrote {csv_path} and {svg_path}")
     return 0
 
@@ -128,16 +129,10 @@ def _cmd_robustness(args) -> int:
     out_dir = cfg.get("out.dir", ".")
     tcfg = train_config(cfg)
     model, train_ds, test_ds = _build_model_and_data(cfg, tcfg.seed)
-    sweep_kw = {}
-    angles = cfg.get("robustness.angles")
-    if angles is not None:
-        sweep_kw["angle_ranges"] = [int(a) for a in angles.split(",")]
-    sweep = RobustnessSweep(
-        mode=WarpMode(cfg.get("robustness.mode", RobustnessSweep.mode.value)),
-        trials=int(cfg.get("robustness.trials", RobustnessSweep.trials)),
-        seed=int(cfg.get("robustness.seed", RobustnessSweep.seed)),
-        **sweep_kw,
-    )
+    sweep = from_config(RobustnessSweep, cfg, "robustness",
+                        ("mode", "trials", "seed"))
+    sweep = replace(sweep, angle_ranges=cfg.value(
+        "robustness.angles", int, sweep.angle_ranges))
     cfg.reject_unread()
     os.makedirs(out_dir, exist_ok=True)
     report = train(model, train_ds, test_ds, tcfg)
@@ -151,23 +146,14 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = load_config(args.config)
-    d = SearchConfig
-    scfg = SearchConfig(
-        num_nodes=int(cfg.get("search.num_nodes", d.num_nodes)),
-        num_cells=int(cfg.get("search.num_cells", d.num_cells)),
-        channels=int(cfg.get("search.channels", d.channels)),
-        epochs=int(cfg.get("search.epochs", d.epochs)),
-        batch_size=int(cfg.get("search.batch_size", d.batch_size)),
-        lr_init=float(cfg.get("search.lr_init", d.lr_init)),
-        weight_decay=float(cfg.get("search.weight_decay", d.weight_decay)),
-        alpha_lr=float(cfg.get("search.alpha_lr", d.alpha_lr)),
-        alpha_weight_decay=float(cfg.get("search.alpha_weight_decay",
-                                         d.alpha_weight_decay)),
-        seed=int(cfg.get("search.seed", d.seed)),
-    )
-    kind = SynthKind(cfg.get("data.kind", "planted_circular"))
-    n_per_class = int(cfg.get("data.n_per_class", 40))
-    size = int(cfg.get("data.size", 16))
+    scfg = from_config(SearchConfig, cfg, "search", (
+        "num_nodes", "num_cells", "channels", "epochs", "batch_size",
+        "lr_init", "weight_decay", "alpha_lr", "alpha_weight_decay", "seed"))
+    if scfg.epochs < 1:
+        raise ConfigError("search.epochs must be at least 1")
+    kind = cfg.value("data.kind", SynthKind, SynthKind.PLANTED_CIRCULAR)
+    n_per_class = cfg.value("data.n_per_class", int, 40)
+    size = cfg.value("data.size", int, 16)
     cfg.reject_unread()
     train_ds = gen_synthetic(kind, n_per_class, size, scfg.seed)
     val_ds = gen_synthetic(kind, n_per_class, size, scfg.seed + 10_000)

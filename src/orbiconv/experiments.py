@@ -182,19 +182,18 @@ def compare_kernels(cfg: dict) -> tuple[str, str]:
     Raises ConfigError for a key of `cfg` that the comparison does not read.
     """
     cfg = Config(cfg)
-    kind = SynthKind(cfg.get("compare.dataset", "ring_vs_cross"))
-    n_per_class = int(cfg.get("compare.n_per_class", 40))
-    size = int(cfg.get("compare.size", 16))
-    shapes = [s.strip() for s in cfg.get("compare.shapes",
-                                         "square,circle").split(",")]
+    kind = cfg.value("compare.dataset", SynthKind, SynthKind.RING_VS_CROSS)
+    n_per_class = cfg.value("compare.n_per_class", int, 40)
+    size = cfg.value("compare.size", int, 16)
+    shapes = cfg.value("compare.shapes", str, ["square", "circle"])
     for shape in shapes:
         kernel_shape(shape)
-    kernel_sizes = [int(k) for k in cfg.get("compare.kernel_sizes",
-                                            "3,5").split(",")]
-    seeds = [int(s) for s in cfg.get("compare.seeds", "0,1,2").split(",")]
+    kernel_sizes = cfg.value("compare.kernel_sizes", int, [3, 5])
+    seeds = cfg.value("compare.seeds", int, [0, 1, 2])
     tcfg = train_config(cfg)
-    p_circular = float(cfg.get("integrated.p_circular", 0.5))
-    eval_branch = EvalBranch(cfg.get("integrated.eval_branch", "circular"))
+    p_circular = cfg.value("integrated.p_circular", float, 0.5)
+    eval_branch = cfg.value("integrated.eval_branch", EvalBranch,
+                            EvalBranch.CIRCULAR)
     cfg.reject_unread()
 
     rows = []
@@ -284,6 +283,21 @@ class Config(dict):
         self.read.add(key)
         return super().get(key, default)
 
+    def value(self, key: str, kind, default):
+        """`key` converted by `kind` (int, float, str or an Enum), or
+        `default` when the key is absent. When `default` is a list, the
+        value is a comma-separated list of `kind`. Raises ConfigError
+        naming the key when the value does not convert."""
+        raw = self.get(key)
+        if raw is None:
+            return default
+        try:
+            if isinstance(default, list):
+                return [kind(v.strip()) for v in raw.split(",")]
+            return kind(raw)
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from None
+
     def reject_unread(self) -> None:
         """Raise ConfigError naming every key not read so far, except
         `out.dir`, which every command accepts."""
@@ -292,32 +306,40 @@ class Config(dict):
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
+def from_config(cls, cfg: Config, section: str, names: tuple[str, ...]):
+    """The dataclass `cls` with each field in `names` read from the key
+    `section.<name>`; the field's default gives the value's type and the
+    value of an absent key."""
+    return cls(**{name: cfg.value(f"{section}.{name}", type(getattr(cls, name)),
+                                  getattr(cls, name)) for name in names})
+
+
 def train_config(cfg: Config) -> TrainConfig:
     """TrainConfig from the `train.*` keys; absent keys keep its defaults."""
-    return TrainConfig(
-        epochs=int(cfg.get("train.epochs", TrainConfig.epochs)),
-        batch_size=int(cfg.get("train.batch_size", TrainConfig.batch_size)),
-        lr_init=float(cfg.get("train.lr_init", TrainConfig.lr_init)),
-        momentum=float(cfg.get("train.momentum", TrainConfig.momentum)),
-        weight_decay=float(cfg.get("train.weight_decay",
-                                   TrainConfig.weight_decay)),
-        warmup_epochs=int(cfg.get("train.warmup_epochs",
-                                  TrainConfig.warmup_epochs)),
-        seed=int(cfg.get("train.seed", TrainConfig.seed)),
-    )
+    tcfg = from_config(TrainConfig, cfg, "train", (
+        "epochs", "batch_size", "lr_init", "momentum", "weight_decay",
+        "warmup_epochs", "seed"))
+    if tcfg.epochs < 1:
+        raise ConfigError("train.epochs must be at least 1")
+    return tcfg
 
 
 def parse_config(text: str) -> Config:
     """Flat `key = value` config, UTF-8, `#` comments."""
     out = Config()
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key} repeats line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 

@@ -4,7 +4,10 @@ Convolution is implemented with im2col patch extraction. This is the single
 site where the y-up sampling geometry maps onto image indexing: kernel slot
 (kr, kc) reads the pixel displaced by (row, col) = (d*(kr-m), d*(kc-m)),
 which is exactly the row-major flattening used by the geometry and transform
-modules.
+modules. col2im, the adjoint, adds the patch gradients back slot by slot,
+in slot order, onto the strided window each slot read; that summation order
+keeps every gradient byte-identical to the fancy-index scatter-add
+reference kept in `tests/conftest.py`.
 
 Circular layers hold a TransformMatrix and re-parameterize their weights
 once per forward pass (effective kernel = B^T @ w); the backward pass maps
@@ -26,29 +29,20 @@ from .transform import (
     transform_gradient_pushforward,
 )
 
-_PATCH_INDEX_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
 
 def _out_size(n: int, k: int, stride: int, pad: int, dil: int) -> int:
     return (n + 2 * pad - dil * (k - 1) - 1) // stride + 1
 
 
-def _patch_indices(h: int, w: int, k: int, stride: int, pad: int, dil: int):
-    key = (h, w, k, stride, pad, dil)
-    cached = _PATCH_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _tap_indices(h: int, w: int, k: int, stride: int, pad: int, dil: int):
+    """Padded-input rows (K, OH) and cols (K, OW) read by each kernel tap."""
     oh = _out_size(h, k, stride, pad, dil)
     ow = _out_size(w, k, stride, pad, dil)
     if oh < 1 or ow < 1:
         raise ValueError(f"zero-sized output for input {h}x{w}, K={k}, "
                          f"stride={stride}, pad={pad}, dilation={dil}")
-    kr, kc = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    orow, ocol = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    r_idx = (kr.reshape(-1, 1) * dil + orow.reshape(1, -1) * stride)
-    c_idx = (kc.reshape(-1, 1) * dil + ocol.reshape(1, -1) * stride)
-    _PATCH_INDEX_CACHE[key] = (r_idx, c_idx)
-    return r_idx, c_idx
+    taps = np.arange(k)[:, None] * dil
+    return taps + np.arange(oh) * stride, taps + np.arange(ow) * stride
 
 
 def extract_patches(x: np.ndarray, k: int, stride: int, pad: int, dil: int,
@@ -60,24 +54,23 @@ def extract_patches(x: np.ndarray, k: int, stride: int, pad: int, dil: int,
         xp[:, :, pad:pad + h, pad:pad + w] = x
     else:
         xp = x
-    r_idx, c_idx = _patch_indices(h, w, k, stride, pad, dil)
-    return xp[:, :, r_idx, c_idx]
+    rows, cols = _tap_indices(h, w, k, stride, pad, dil)
+    patches = xp[:, :, rows[:, None, :, None], cols[None, :, None, :]]
+    return patches.reshape(n, c, k * k, -1)
 
 
 def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
                     k: int, stride: int, pad: int, dil: int) -> np.ndarray:
-    """Adjoint of extract_patches: scatter-add patch gradients back."""
+    """Adjoint of extract_patches: add each kernel slot's patch gradients
+    onto the strided window that slot read, slots in order 0..K*K-1."""
     n, c, h, w = in_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    r_idx, c_idx = _patch_indices(h, w, k, stride, pad, dil)
-    flat = (r_idx * wp + c_idx).ravel()
-    gxp = np.zeros((n, c, hp * wp), dtype=g.dtype)
-    np.add.at(gxp, (np.arange(n)[:, None, None], np.arange(c)[None, :, None],
-                    flat[None, None, :]), g.reshape(n, c, -1))
-    gxp = gxp.reshape(n, c, hp, wp)
-    if pad > 0:
-        gxp = gxp[:, :, pad:pad + h, pad:pad + w]
-    return gxp
+    rows, cols = _tap_indices(h, w, k, stride, pad, dil)
+    g = g.reshape(n, c, k * k, rows.shape[1], cols.shape[1])
+    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+    for slot in range(k * k):
+        r, q = rows[slot // k], cols[slot % k]
+        gxp[:, :, r[0]:r[-1] + 1:stride, q[0]:q[-1] + 1:stride] += g[:, :, slot]
+    return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
@@ -176,16 +169,14 @@ def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     n, c, h, w = x.data.shape
     oh = _out_size(h, k, stride, padding, 1)
     ow = _out_size(w, k, stride, padding, 1)
-    kk = k * k
     patches = extract_patches(x.data, k, stride, padding, 1)
     out = patches.mean(axis=2)
 
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        gp = np.broadcast_to(g.reshape(n, c, 1, -1) / kk, patches.shape)
-        x.accumulate(scatter_patches(np.ascontiguousarray(gp), x.data.shape,
-                                     k, stride, padding, 1))
+        gp = np.broadcast_to(g.reshape(n, c, 1, -1) / (k * k), patches.shape)
+        x.accumulate(scatter_patches(gp, x.data.shape, k, stride, padding, 1))
 
     return Var(out.reshape(n, c, oh, ow), (x,), bw)
 

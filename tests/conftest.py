@@ -93,3 +93,55 @@ def direct_bilinear_at(patch: np.ndarray, x: float, y: float) -> float:
             if wr and wc and 0 <= rr < k and 0 <= cc < k:
                 total += wr * wc * patch[rr, cc]
     return total
+
+
+# The fancy-index im2col and `np.add.at` col2im that `orbiconv.layers` used
+# before its strided-window engine, kept as the slow reference (less the
+# index cache, which never changed a value).
+
+
+def _out_size(n: int, k: int, stride: int, pad: int, dil: int) -> int:
+    return (n + 2 * pad - dil * (k - 1) - 1) // stride + 1
+
+
+def _patch_indices(h: int, w: int, k: int, stride: int, pad: int, dil: int):
+    oh = _out_size(h, k, stride, pad, dil)
+    ow = _out_size(w, k, stride, pad, dil)
+    if oh < 1 or ow < 1:
+        raise ValueError(f"zero-sized output for input {h}x{w}, K={k}, "
+                         f"stride={stride}, pad={pad}, dilation={dil}")
+    kr, kc = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    orow, ocol = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
+    r_idx = (kr.reshape(-1, 1) * dil + orow.reshape(1, -1) * stride)
+    c_idx = (kc.reshape(-1, 1) * dil + ocol.reshape(1, -1) * stride)
+    return r_idx, c_idx
+
+
+def reference_extract_patches(x: np.ndarray, k: int, stride: int, pad: int,
+                              dil: int, pad_value: float = 0.0) -> np.ndarray:
+    """(N, C, H, W) -> (N, C, K*K, OH*OW) row-major kernel patches."""
+    n, c, h, w = x.shape
+    if pad > 0:
+        xp = np.full((n, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+    else:
+        xp = x
+    r_idx, c_idx = _patch_indices(h, w, k, stride, pad, dil)
+    return xp[:, :, r_idx, c_idx]
+
+
+def reference_scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
+                              k: int, stride: int, pad: int,
+                              dil: int) -> np.ndarray:
+    """Adjoint of extract_patches: scatter-add patch gradients back."""
+    n, c, h, w = in_shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    r_idx, c_idx = _patch_indices(h, w, k, stride, pad, dil)
+    flat = (r_idx * wp + c_idx).ravel()
+    gxp = np.zeros((n, c, hp * wp), dtype=g.dtype)
+    np.add.at(gxp, (np.arange(n)[:, None, None], np.arange(c)[None, :, None],
+                    flat[None, None, :]), g.reshape(n, c, -1))
+    gxp = gxp.reshape(n, c, hp, wp)
+    if pad > 0:
+        gxp = gxp[:, :, pad:pad + h, pad:pad + w]
+    return gxp

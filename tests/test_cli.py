@@ -142,11 +142,31 @@ def test_identity_check(capsys):
     assert "relative difference" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("line, named", [("train.epoch = 3", "train.epoch"),
-                                         ("model.shape = cirlce", "cirlce")])
+@pytest.mark.parametrize("line, named", [
+    ("train.epoch = 3", "train.epoch"),
+    ("model.shape = cirlce", "cirlce"),
+    ("train.epochs = ten", "train.epochs"),
+    ("train.epochs = 0", "train.epochs"),
+    ("data.kind = foo", "data.kind"),
+    ("train.seed = 1\ntrain.seed = 2", "train.seed"),
+])
 def test_train_rejects_unknown_key_or_shape(tmp_path, capsys, line, named):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(f"{line}\nout.dir = {tmp_path / 'out'}\n")
     assert main(["train", "--config", str(cfg)]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("robustness", "train.epochs"),
+                                          ("compare", "train.epochs"),
+                                          ("search", "search.epochs")])
+def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"{key} = 0\nout.dir = {tmp_path / 'out'}\n")
+    argv = [command, "--config", str(cfg)]
+    if command == "search":
+        argv += ["--out", str(tmp_path / "out" / "genotype.json")]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

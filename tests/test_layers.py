@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import direct_circular_conv, direct_square_conv
+from conftest import (
+    direct_circular_conv,
+    direct_square_conv,
+    reference_extract_patches,
+    reference_scatter_patches,
+)
 from orbiconv.autodiff import Var
 from orbiconv.gradcheck import run_all_layer_checks
 from orbiconv.geometry import Mode, circular_points
@@ -9,7 +16,9 @@ from orbiconv.layers import (
     Conv2d,
     avg_pool2d,
     conv2d,
+    extract_patches,
     max_pool2d,
+    scatter_patches,
     softmax_cross_entropy,
 )
 from orbiconv.transform import build_transform
@@ -166,3 +175,46 @@ def test_k1_identity_kernel_passes_grad_through():
     g = np.random.default_rng(17).standard_normal(out.data.shape)
     out.backward(g)
     assert np.array_equal(x.grad, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 12),
+       w=st.integers(1, 12), k=st.sampled_from([1, 3, 5, 7]),
+       stride=st.integers(1, 3), dil=st.integers(1, 3), pad=st.integers(0, 4),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, c=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
+         dtype=np.float32, seed=0)  # a single output pixel
+@example(n=2, c=3, h=12, w=11, k=3, stride=2, dil=3, pad=4,
+         dtype=np.float32, seed=1)  # stride and dilation both above 1
+@example(n=1, c=2, h=2, w=9, k=3, stride=1, dil=1, pad=0,
+         dtype=np.float64, seed=2)  # zero output rows
+def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
+                                              dtype, seed):
+    """im2col and col2im give the reference's bytes, raise where it raises,
+    and are adjoint: <extract(x), g> = <x, scatter(g)>."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    args = (k, stride, pad, dil)
+    try:
+        ref = reference_extract_patches(x, *args)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero-sized output"):
+            extract_patches(x, *args)
+        g = np.zeros((n, c, k * k, 0), dtype=dtype)
+        for scatter in (reference_scatter_patches, scatter_patches):
+            with pytest.raises(ValueError, match="zero-sized output"):
+                scatter(g, x.shape, *args)
+        return
+    for pad_value in (0.0, -np.inf):
+        got = extract_patches(x, *args, pad_value)
+        assert got.shape == ref.shape
+        assert got.tobytes() == reference_extract_patches(
+            x, *args, pad_value).tobytes()
+    g = rng.standard_normal(ref.shape).astype(dtype)
+    gx = scatter_patches(g, x.shape, *args)
+    assert gx.shape == x.shape and gx.dtype == dtype
+    assert gx.tobytes() == reference_scatter_patches(g, x.shape, *args).tobytes()
+    if dtype is np.float64:
+        lhs, rhs = np.sum(ref * g), np.sum(x * gx)
+        assert abs(lhs - rhs) <= 1e-12 * max(np.sum(np.abs(ref * g)), 1e-300)
