@@ -77,10 +77,6 @@ def tape(root: Var) -> list[Var]:
     return order
 
 
-def constant(data: np.ndarray) -> Var:
-    return Var(np.asarray(data), requires_grad=False)
-
-
 def add(a: Var, b: Var) -> Var:
     out_data = a.data + b.data
 

@@ -16,23 +16,24 @@ from . import __version__
 from .analysis import verify_delta_identity
 from .data import SynthKind, gen_synthetic
 from .experiments import (
-    Config,
+    SEARCH_DATA,
     ConfigError,
     RobustnessSweep,
-    SmallCNN,
     compare_kernels,
+    data_config,
     from_config,
     load_config,
+    make_output_dir,
     robustness_csv,
     robustness_eval,
     train_config,
+    train_setup,
     write_manifest,
 )
 from .geometry import circular_points, square_points
-from .integrated import EvalBranch
 from .nas import SearchConfig, genotype_to_dot, search
 from .orbt import save_tensor
-from .train import NumericalError, TrainConfig, train
+from .train import NumericalError, train
 from .transform import build_transform
 
 
@@ -76,31 +77,10 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _build_model_and_data(cfg: Config, seed: int):
-    kind = cfg.value("data.kind", SynthKind, SynthKind.RING_VS_CROSS)
-    n_per_class = cfg.value("data.n_per_class", int, 40)
-    size = cfg.value("data.size", int, 16)
-    train_ds = gen_synthetic(kind, n_per_class, size, seed)
-    test_ds = gen_synthetic(kind, n_per_class, size, seed + 10_000)
-    model = SmallCNN(
-        kernel_size=cfg.value("model.kernel_size", int, 3),
-        shape=cfg.get("model.shape", "square"),
-        seed=seed,
-        num_classes=train_ds.num_classes,
-        p_circular=cfg.value("integrated.p_circular", float, 0.5),
-        eval_branch=cfg.value("integrated.eval_branch", EvalBranch,
-                              EvalBranch.CIRCULAR),
-    )
-    return model, train_ds, test_ds
-
-
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    out_dir = cfg.get("out.dir", ".")
-    tcfg = train_config(cfg)
-    model, train_ds, test_ds = _build_model_and_data(cfg, tcfg.seed)
-    cfg.reject_unread()
-    os.makedirs(out_dir, exist_ok=True)
+    tcfg, model, train_ds, test_ds = train_setup(cfg)
+    out_dir = make_output_dir(cfg)
     report = train(model, train_ds, test_ds, tcfg)
     path = os.path.join(out_dir, "train_report.csv")
     _write(path, report.to_csv())
@@ -111,30 +91,25 @@ def _cmd_train(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    out_dir = cfg.get("out.dir", ".")
-    csv_text, svg_text = compare_kernels(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    csv_text, svg_text, seeds = compare_kernels(cfg)
+    out_dir = make_output_dir(cfg)
     csv_path = os.path.join(out_dir, "compare.csv")
     svg_path = os.path.join(out_dir, "compare.svg")
     _write(csv_path, csv_text)
     _write(svg_path, svg_text)
-    seed = cfg.value("train.seed", int, TrainConfig.seed)
-    write_manifest(out_dir, cfg, seed, [csv_path, svg_path])
+    write_manifest(out_dir, cfg, seeds, [csv_path, svg_path])
     print(f"wrote {csv_path} and {svg_path}")
     return 0
 
 
 def _cmd_robustness(args) -> int:
     cfg = load_config(args.config)
-    out_dir = cfg.get("out.dir", ".")
-    tcfg = train_config(cfg)
-    model, train_ds, test_ds = _build_model_and_data(cfg, tcfg.seed)
-    sweep = from_config(RobustnessSweep, cfg, "robustness",
+    tcfg, model, train_ds, test_ds = train_setup(cfg)
+    sweep = from_config(RobustnessSweep(), cfg, "robustness",
                         ("mode", "trials", "seed"))
-    sweep = replace(sweep, angle_ranges=cfg.value(
-        "robustness.angles", int, sweep.angle_ranges))
-    cfg.reject_unread()
-    os.makedirs(out_dir, exist_ok=True)
+    sweep = replace(sweep, angle_ranges=cfg.value("robustness.angles",
+                                                  sweep.angle_ranges))
+    out_dir = make_output_dir(cfg)
     report = train(model, train_ds, test_ds, tcfg)
     rows = robustness_eval(model, test_ds, sweep)
     path = os.path.join(out_dir, "robustness.csv")
@@ -146,17 +121,16 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = load_config(args.config)
-    scfg = from_config(SearchConfig, cfg, "search", (
+    scfg = train_config(cfg, SearchConfig(), "search", (
         "num_nodes", "num_cells", "channels", "epochs", "batch_size",
         "lr_init", "weight_decay", "alpha_lr", "alpha_weight_decay", "seed"))
-    if scfg.epochs < 1:
-        raise ConfigError("search.epochs must be at least 1")
-    kind = cfg.value("data.kind", SynthKind, SynthKind.PLANTED_CIRCULAR)
-    n_per_class = cfg.value("data.n_per_class", int, 40)
-    size = cfg.value("data.size", int, 16)
+    data = data_config(cfg, SEARCH_DATA)
     cfg.reject_unread()
-    train_ds = gen_synthetic(kind, n_per_class, size, scfg.seed)
-    val_ds = gen_synthetic(kind, n_per_class, size, scfg.seed + 10_000)
+    for path in filter(None, (args.out, args.dot)):
+        if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".",
+                                                os.W_OK):
+            raise OSError(f"{path} is a directory or not in a writable one")
+    train_ds, val_ds = data.splits(scfg.seed)
     genotypes, report, _net = search(train_ds, val_ds, scfg)
     payload = "{\n" + ",\n".join(
         f'"{name}": {g.to_json()}' for name, g in genotypes.items()) + "\n}\n"
@@ -258,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

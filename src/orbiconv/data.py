@@ -110,6 +110,9 @@ def gen_synthetic(kind: SynthKind, n_per_class: int, size: int,
     images = np.zeros((n, 1, size, size), dtype=np.float32)
     labels = np.zeros(n, dtype=np.int64)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    if kind is SynthKind.PLANTED_CIRCULAR:
+        planted = (disk_template(5), ring_template(5))  # indexed by label
+        distract = corner_template(5)
 
     for i in range(n):
         label = i % 2
@@ -135,13 +138,11 @@ def gen_synthetic(kind: SynthKind, n_per_class: int, size: int,
                 img[:, pos] = 1.0
             img = img + rng.normal(0.0, 0.05, size=img.shape)
         elif kind is SynthKind.PLANTED_CIRCULAR:
-            template = ring_template(5) if label == 1 else disk_template(5)
             for _ in range(2):
                 row = int(rng.integers(0, size - 5))
                 col = int(rng.integers(0, size - 5))
                 amp = rng.uniform(0.8, 1.2)
-                _splat(img, template, row, col, amp * 8.0)
-            distract = corner_template(5)
+                _splat(img, planted[label], row, col, amp * 8.0)
             for _ in range(4):
                 row = int(rng.integers(0, size - 5))
                 col = int(rng.integers(0, size - 5))

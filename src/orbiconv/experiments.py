@@ -174,27 +174,25 @@ class SmallCNN(Module):
         return self.head(global_avg_pool(x))
 
 
-def compare_kernels(cfg: dict) -> tuple[str, str]:
+def compare_kernels(cfg: dict) -> tuple[str, str, list[int]]:
     """Train every (shape, K, seed) combination on identical data and seeds.
 
-    Returns (long-format CSV text, SVG line chart text). CSV rows are
-    shape,K,seed,final_test_err with aggregate shape,K,mean,std rows after.
-    Raises ConfigError for a key of `cfg` that the comparison does not read.
+    Returns (long-format CSV text, SVG line chart text, seeds run). CSV rows
+    are shape,K,seed,final_test_err with aggregate shape,K,mean,std rows
+    after. Raises ConfigError for a key that is not read (`out.dir` aside).
     """
-    cfg = Config(cfg)
-    kind = cfg.value("compare.dataset", SynthKind, SynthKind.RING_VS_CROSS)
-    n_per_class = cfg.value("compare.n_per_class", int, 40)
-    size = cfg.value("compare.size", int, 16)
-    shapes = cfg.value("compare.shapes", str, ["square", "circle"])
+    if not isinstance(cfg, Config):
+        cfg = Config(cfg)
+    data = data_config(cfg, section="compare", kind_key="dataset")
+    shapes = cfg.value("compare.shapes", ["square", "circle"])
     for shape in shapes:
         kernel_shape(shape)
-    kernel_sizes = cfg.value("compare.kernel_sizes", int, [3, 5])
-    seeds = cfg.value("compare.seeds", int, [0, 1, 2])
-    tcfg = train_config(cfg)
-    p_circular = cfg.value("integrated.p_circular", float, 0.5)
-    eval_branch = cfg.value("integrated.eval_branch", EvalBranch,
-                            EvalBranch.CIRCULAR)
-    cfg.reject_unread()
+    kernel_sizes = cfg.value("compare.kernel_sizes", [3, 5])
+    seeds = cfg.value("compare.seeds", [0, 1, 2])
+    tcfg = train_config(cfg,
+                        names=tuple(k for k in TRAIN_KEYS if k != "seed"))
+    integrated = integrated_options(cfg)
+    cfg.reject_unread(known=("out.dir",))
 
     rows = []
     results: dict[tuple[str, int], list[float]] = {}
@@ -202,12 +200,10 @@ def compare_kernels(cfg: dict) -> tuple[str, str]:
         for shape in shapes:
             errs = []
             for seed in seeds:
-                train_ds = gen_synthetic(kind, n_per_class, size, seed)
-                test_ds = gen_synthetic(kind, n_per_class, size, seed + 10_000)
+                train_ds, test_ds = data.splits(seed)
                 model = SmallCNN(kernel_size=k, shape=shape, seed=seed,
                                  num_classes=train_ds.num_classes,
-                                 p_circular=p_circular,
-                                 eval_branch=eval_branch)
+                                 **integrated)
                 report = train(model, train_ds, test_ds,
                                replace(tcfg, seed=seed))
                 err = report.test_err[-1]
@@ -220,7 +216,7 @@ def compare_kernels(cfg: dict) -> tuple[str, str]:
         lines.append(f"{shape},{k},std,{float(np.std(errs))!r}")
     csv_text = "\n".join(lines) + "\n"
     svg_text = _error_chart_svg(results, kernel_sizes, shapes)
-    return csv_text, svg_text
+    return csv_text, svg_text, seeds
 
 
 _SVG_COLORS = {"square": "#1f77b4", "circle": "#d62728",
@@ -272,56 +268,109 @@ class ConfigError(ValueError):
 
 
 class Config(dict):
-    """A flat config that records the keys read through `get`, so that a
+    """A flat config that records the keys read through `value`, so that a
     command can reject the keys it does not know."""
 
     def __init__(self, values=()):
         super().__init__(values)
         self.read: set[str] = set()
 
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def value(self, key: str, kind, default):
-        """`key` converted by `kind` (int, float, str or an Enum), or
-        `default` when the key is absent. When `default` is a list, the
-        value is a comma-separated list of `kind`. Raises ConfigError
+    def value(self, key: str, default):
+        """`key` converted to the type of `default` (int, float, str or an
+        Enum), or `default` when the key is absent. A list default reads a
+        comma-separated list of its first item's type. Raises ConfigError
         naming the key when the value does not convert."""
+        self.read.add(key)
         raw = self.get(key)
         if raw is None:
             return default
         try:
             if isinstance(default, list):
-                return [kind(v.strip()) for v in raw.split(",")]
-            return kind(raw)
+                return [type(default[0])(v.strip()) for v in raw.split(",")]
+            return type(default)(raw)
         except ValueError as e:
             raise ConfigError(f"{key}: {e}") from None
 
-    def reject_unread(self) -> None:
-        """Raise ConfigError naming every key not read so far, except
-        `out.dir`, which every command accepts."""
-        unknown = sorted(set(self) - self.read - {"out.dir"})
+    def reject_unread(self, known: tuple[str, ...] = ()) -> None:
+        """Raise ConfigError naming every key neither read so far nor in
+        `known`."""
+        unknown = sorted(set(self) - self.read - set(known))
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
-def from_config(cls, cfg: Config, section: str, names: tuple[str, ...]):
-    """The dataclass `cls` with each field in `names` read from the key
-    `section.<name>`; the field's default gives the value's type and the
-    value of an absent key."""
-    return cls(**{name: cfg.value(f"{section}.{name}", type(getattr(cls, name)),
-                                  getattr(cls, name)) for name in names})
+def _read_section(cfg: Config, section: str, names: tuple[str, ...],
+                  defaults: dict) -> dict:
+    """`{name: value}` read from the keys `section.<name>`; `defaults[name]`
+    gives the type and the value of an absent key."""
+    return {n: cfg.value(f"{section}.{n}", defaults[n]) for n in names}
 
 
-def train_config(cfg: Config) -> TrainConfig:
-    """TrainConfig from the `train.*` keys; absent keys keep its defaults."""
-    tcfg = from_config(TrainConfig, cfg, "train", (
-        "epochs", "batch_size", "lr_init", "momentum", "weight_decay",
-        "warmup_epochs", "seed"))
+def from_config(default, cfg: Config, section: str, names: tuple[str, ...]):
+    """The dataclass instance `default` with `names` read from `section.*`."""
+    return replace(default, **_read_section(cfg, section, names, vars(default)))
+
+
+TRAIN_KEYS = ("epochs", "batch_size", "lr_init", "momentum", "weight_decay",
+              "warmup_epochs", "seed")
+
+
+def train_config(cfg: Config, default: TrainConfig = TrainConfig(),
+                 section: str = "train",
+                 names: tuple[str, ...] = TRAIN_KEYS) -> TrainConfig:
+    """`default` with `names` read from `section.*`; `epochs` must be >= 1."""
+    tcfg = from_config(default, cfg, section, names)
     if tcfg.epochs < 1:
-        raise ConfigError("train.epochs must be at least 1")
+        raise ConfigError(f"{section}.epochs must be at least 1")
     return tcfg
+
+
+@dataclass
+class DataConfig:
+    kind: SynthKind = SynthKind.RING_VS_CROSS
+    n_per_class: int = 40
+    size: int = 16
+
+    def splits(self, seed: int) -> tuple[Dataset, Dataset]:
+        """The train split of `seed` and the test split, seeded 10_000 higher."""
+        return tuple(gen_synthetic(self.kind, self.n_per_class, self.size, s)
+                     for s in (seed, seed + 10_000))
+
+
+SEARCH_DATA = DataConfig(SynthKind.PLANTED_CIRCULAR)
+
+
+def data_config(cfg: Config, default: DataConfig = DataConfig(),
+                section: str = "data", kind_key: str = "kind") -> DataConfig:
+    """`default` with `section.<kind_key>`, `.n_per_class`, `.size` read."""
+    kind = cfg.value(f"{section}.{kind_key}", default.kind)
+    return from_config(replace(default, kind=kind), cfg, section,
+                       ("n_per_class", "size"))
+
+
+def integrated_options(cfg: Config) -> dict:
+    """SmallCNN's `p_circular` and `eval_branch` from `integrated.*`."""
+    return _read_section(cfg, "integrated", ("p_circular", "eval_branch"),
+                         SmallCNN.__init__.__kwdefaults__)
+
+
+def train_setup(cfg: Config) -> tuple[TrainConfig, SmallCNN, Dataset, Dataset]:
+    """TrainConfig, SmallCNN and train/test splits of a train config."""
+    tcfg = train_config(cfg)
+    train_ds, test_ds = data_config(cfg).splits(tcfg.seed)
+    model = SmallCNN(seed=tcfg.seed, num_classes=train_ds.num_classes,
+                     **_read_section(cfg, "model", ("kernel_size", "shape"),
+                                     SmallCNN.__init__.__kwdefaults__),
+                     **integrated_options(cfg))
+    return tcfg, model, train_ds, test_ds
+
+
+def make_output_dir(cfg: Config) -> str:
+    """Reject unread keys, then create `out.dir` and return its path."""
+    out_dir = cfg.value("out.dir", ".")
+    cfg.reject_unread()
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def parse_config(text: str) -> Config:
@@ -351,9 +400,9 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
 
-def write_manifest(out_dir: str, config: dict, seed: int,
+def write_manifest(out_dir: str, config: dict, seed: int | list[int],
                    outputs: list[str]) -> str:
-    """Record config hash, seed and content hashes of the produced files."""
+    """Record config hash, seed(s) and content hashes of the produced files."""
     cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
     manifest = {
         "config_sha256": hashlib.sha256(cfg_bytes).hexdigest(),

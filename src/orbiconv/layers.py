@@ -109,8 +109,8 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
     if depthwise:
         out = np.einsum("ck,nckl->ncl", w_eff.reshape(c, kk), patches)
     else:
-        out = np.einsum("of,nfl->nol", w_eff.reshape(cout, cin * kk),
-                        patches.reshape(n, cin * kk, -1))
+        patches = patches.reshape(n, cin * kk, -1)  # a copy; bw reuses it
+        out = np.einsum("of,nfl->nol", w_eff.reshape(cout, cin * kk), patches)
     out = out.reshape(n, cout, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
@@ -132,9 +132,9 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
                 x.accumulate(scatter_patches(gp, x.data.shape, k, stride,
                                              padding, dilation))
         else:
-            pf = patches.reshape(n, cin * kk, -1)
             if weights.requires_grad:
-                g_eff = np.einsum("nol,nfl->of", gl, pf).reshape(cout, cin, kk)
+                g_eff = np.einsum("nol,nfl->of", gl, patches).reshape(
+                    cout, cin, kk)
                 if transform is not None:
                     g_eff = transform_gradient_pushforward(g_eff, transform)
                 weights.accumulate(g_eff.reshape(weights.data.shape))
@@ -333,13 +333,3 @@ class ChannelAffine(Module):
 
     def forward(self, x: Var) -> Var:
         return channel_affine(x, self.scale, self.shift)
-
-
-class Sequential(Module):
-    def __init__(self, *modules: Module):
-        self.modules = list(modules)
-
-    def forward(self, x: Var) -> Var:
-        for m in self.modules:
-            x = m(x)
-        return x

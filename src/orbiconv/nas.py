@@ -191,22 +191,19 @@ class SearchCell(Module):
 
 
 @dataclass
-class SearchConfig:
+class SearchConfig(TrainConfig):
+    """The weight phase's TrainConfig plus the supernet and alpha settings."""
+    epochs: int = 20
+    weight_decay: float = 3e-4
+    schedule: Schedule = field(default=Schedule.COSINE, init=False)
     num_nodes: int = 5
     num_cells: int = 4          # last one is the reduction cell
     channels: int = 8
     in_channels: int = 1
     num_classes: int = 2
-    epochs: int = 20
-    batch_size: int = 16
-    lr_init: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 3e-4
-    warmup_epochs: int = 0
     alpha_lr: float = 3e-3
     alpha_weight_decay: float = 1e-3
     alpha_betas: tuple[float, float] = (0.5, 0.999)
-    seed: int = 0
     op_names: list[str] = field(default_factory=lambda: list(PRIMITIVES))
 
 
@@ -383,20 +380,14 @@ def search(train_split: Dataset, val_split: Dataset,
     Adam step of the alphas on a validation batch. Deterministic per seed.
     """
     net = SearchNetwork(cfg)
-    weights = net.params()
-    arch = net.arch_params()
-    tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                       lr_init=cfg.lr_init, momentum=cfg.momentum,
-                       weight_decay=cfg.weight_decay,
-                       warmup_epochs=cfg.warmup_epochs,
-                       schedule=Schedule.COSINE, seed=cfg.seed)
-    w_opt = SGD(weights, cfg.momentum, cfg.weight_decay)
-    a_opt = Adam(arch, cfg.alpha_lr, cfg.alpha_betas, cfg.alpha_weight_decay)
+    w_opt = SGD(net.params(), cfg.momentum, cfg.weight_decay)
+    a_opt = Adam(net.arch_params(), cfg.alpha_lr, cfg.alpha_betas,
+                 cfg.alpha_weight_decay)
     opts = (w_opt, a_opt)
     report = SearchReport()
     n_train, n_val = len(train_split), len(val_split)
     for epoch in range(cfg.epochs):
-        lr = lr_at(tcfg, epoch)
+        lr = lr_at(cfg, epoch)
         t_order = stream(cfg.seed, "search/train-order", epoch).permutation(n_train)
         v_order = stream(cfg.seed, "search/val-order", epoch).permutation(n_val)
         t_losses, v_losses = [], []
@@ -409,8 +400,6 @@ def search(train_split: Dataset, val_split: Dataset,
 
             v_start = (b * cfg.batch_size) % max(1, n_val)
             v_idx = v_order[v_start:v_start + cfg.batch_size]
-            if len(v_idx) == 0:
-                v_idx = v_order[:cfg.batch_size]
             v_losses.append(backprop(net, val_split, v_idx, opts,
                                      f"epoch {epoch}, batch {b}, alpha phase"))
             a_opt.step()
@@ -419,10 +408,7 @@ def search(train_split: Dataset, val_split: Dataset,
         report.val_err.append(evaluate(net, val_split))
         report.alpha_normal_trace.append(net.alpha_matrix("normal"))
         report.alpha_reduce_trace.append(net.alpha_matrix("reduction"))
-    genotypes = {
-        "normal": discretize(net.alpha_matrix("normal"), cfg.op_names,
-                             cfg.num_nodes, "normal"),
-        "reduction": discretize(net.alpha_matrix("reduction"), cfg.op_names,
-                                cfg.num_nodes, "reduction"),
-    }
+    genotypes = {t: discretize(net.alpha_matrix(t), cfg.op_names,
+                               cfg.num_nodes, t)
+                 for t in ("normal", "reduction")}
     return genotypes, report, net

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from orbiconv import cli
 from orbiconv.cli import main
 from orbiconv.orbt import load_tensor
 
@@ -97,7 +98,8 @@ def test_compare_command(tmp_path):
     assert main(["compare", "--config", str(cfg)]) == 0
     assert (tmp_path / "compare.csv").exists()
     assert (tmp_path / "compare.svg").exists()
-    assert (tmp_path / "manifest.json").exists()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["seed"] == [0]
 
 
 def test_robustness_command(tmp_path):
@@ -170,3 +172,95 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     assert main(argv) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("compare", "train.seed = 7", "train.seed"),
+    ("search", "out.dir = OUT", "out.dir"),
+])
+def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, command,
+                                               line, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line.replace("OUT", str(tmp_path / "out")) + "\n")
+    argv = [command, "--config", str(cfg)]
+    if command == "search":
+        argv += ["--out", str(tmp_path / "genotype.json")]
+    assert main(argv) == 2
+    assert f"unknown config key(s): {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["geometry", "--size", "3", "--out", "MISSING/x.csv"], "MISSING/x.csv"),
+    (["transform", "--size", "3", "--out", "MISSING/b.csv"], "MISSING/b.csv"),
+    (["gen-data", "--n", "2", "--out", "MISSING/ds"], "MISSING/ds"),
+    (["train", "--config", "CFG"], "FILE"),
+    (["robustness", "--config", "CFG"], "FILE"),
+    (["search", "--config", "CFG", "--out", "MISSING/g.json"],
+     "MISSING/g.json"),
+    (["search", "--config", "CFG", "--out", "TMP/g.json", "--dot",
+      "MISSING/g.dot"], "MISSING/g.dot"),
+    (["search", "--config", "CFG", "--out", "TMP"], "TMP"),
+], ids=["geometry", "transform", "gen-data", "train", "robustness",
+        "search-out", "search-dot", "search-out-is-a-directory"])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys,
+                                                   monkeypatch, argv, path):
+    """A missing output directory, an `out.dir` that is a file or a search
+    `--out` that is a directory exits 2 before any training or search runs."""
+    def must_not_run(*args):
+        raise AssertionError("ran before checking its output path")
+
+    monkeypatch.setattr(cli, "train", must_not_run)
+    monkeypatch.setattr(cli, "search", must_not_run)
+    names = {"MISSING": str(tmp_path / "missing"), "TMP": str(tmp_path),
+             "FILE": str(tmp_path / "file"), "CFG": str(tmp_path / "c.cfg")}
+    (tmp_path / "file").write_text("")
+    cfg_text = "out.dir = FILE\n" if argv[0] != "search" else ""
+    for name, value in names.items():
+        argv = [a.replace(name, value) for a in argv]
+        path = path.replace(name, value)
+        cfg_text = cfg_text.replace(name, value)
+    (tmp_path / "c.cfg").write_text(cfg_text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and path in err
+
+
+_EVERY_KEY = {
+    "data": ["data.kind = oriented_bars", "data.n_per_class = 2",
+             "data.size = 8"],
+    "model": ["model.kernel_size = 3", "model.shape = integrated"],
+    "integrated": ["integrated.p_circular = 0.5",
+                   "integrated.eval_branch = average"],
+    "train": ["train.epochs = 1", "train.batch_size = 2",
+              "train.lr_init = 0.01", "train.momentum = 0.5",
+              "train.weight_decay = 0.001", "train.warmup_epochs = 1"],
+    "compare": ["compare.dataset = oriented_bars", "compare.n_per_class = 2",
+                "compare.size = 8", "compare.shapes = square,integrated",
+                "compare.kernel_sizes = 3", "compare.seeds = 1"],
+    "robustness": ["robustness.mode = shear", "robustness.trials = 1",
+                   "robustness.seed = 1", "robustness.angles = 30"],
+    "search": ["search.num_nodes = 3", "search.num_cells = 1",
+               "search.channels = 2", "search.epochs = 1",
+               "search.batch_size = 2", "search.lr_init = 0.01",
+               "search.weight_decay = 0.001", "search.alpha_lr = 0.01",
+               "search.alpha_weight_decay = 0.001", "search.seed = 1"],
+}
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("train", ["data", "model", "integrated", "train", "seed", "out"]),
+    ("compare", ["compare", "integrated", "train", "out"]),
+    ("robustness", ["data", "model", "integrated", "train", "seed", "out",
+                    "robustness"]),
+    ("search", ["data", "search"]),
+])
+def test_command_accepts_every_key_it_reads(tmp_path, command, sections):
+    keys = dict(_EVERY_KEY, seed=["train.seed = 1"],
+                out=[f"out.dir = {tmp_path / 'out'}"])
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text("".join(f"{line}\n" for s in sections for line in keys[s]))
+    argv = [command, "--config", str(cfg)]
+    if command == "search":
+        argv += ["--out", str(tmp_path / "genotype.json")]
+    assert main(argv) == 0

@@ -120,7 +120,8 @@ def test_compare_kernels_csv_and_svg():
         "train.epochs": "2",
         "train.batch_size": "8",
     }
-    csv_text, svg_text = compare_kernels(cfg)
+    csv_text, svg_text, seeds = compare_kernels(cfg)
+    assert seeds == [0, 1]
     lines = csv_text.splitlines()
     assert lines[0] == "shape,K,seed,final_test_err"
     assert len(lines) == 1 + 4 + 4  # runs + mean/std per (shape, K)

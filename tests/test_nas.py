@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from orbiconv.nas import (
     search,
 )
 from orbiconv.rng import stream
+from orbiconv.train import Schedule, TrainConfig
 
 
 def _const(arr):
@@ -243,3 +246,19 @@ def test_search_with_circular_ops_removed():
     genotypes, _, _ = search(tr, va, cfg)
     ops = {op for g in genotypes.values() for node in g.nodes for _, op in node}
     assert ops.isdisjoint(CIRCULAR_OPS)
+
+
+def test_search_config_is_a_validated_train_config():
+    assert issubclass(SearchConfig, TrainConfig)
+    redeclared = set(SearchConfig.__annotations__) & {
+        f.name for f in fields(TrainConfig)}
+    assert redeclared == {"epochs", "weight_decay", "schedule"}
+    cfg = SearchConfig()
+    assert cfg.schedule is Schedule.COSINE
+    with pytest.raises(TypeError):
+        SearchConfig(schedule=Schedule.CONSTANT)
+    assert (cfg.epochs, cfg.weight_decay, cfg.momentum) == (20, 3e-4, 0.9)
+    with pytest.raises(ValueError, match="lr_init must be positive"):
+        SearchConfig(lr_init=0.0)
+    with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+        SearchConfig(momentum=1.0)
