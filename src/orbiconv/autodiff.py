@@ -5,11 +5,16 @@ the output gradient onto the parents' gradient buffers. Calling
 ``backward()`` on a scalar root replays the recorded tape (the topologically
 sorted ancestor list) in reverse. Gradients accumulate in ``Var.grad`` with
 the same shape and dtype as the value.
+
+A leaf requires a gradient unless built with ``requires_grad=False`` or
+frozen; a computed `Var` requires one exactly when a parent does, so the
+tape and every backward closure skip what no stepped leaf depends on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +33,8 @@ class Var:
         self.grad: np.ndarray | None = None
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = (any(p.requires_grad for p in self.parents)
+                              if self.parents else requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -55,6 +61,20 @@ class Var:
 
     def __repr__(self) -> str:
         return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+@contextmanager
+def frozen(params: Sequence[Var]) -> Iterator[None]:
+    """Clear `requires_grad` on the leaves `params` for the block, so that
+    nothing built inside it differentiates them; restored on exit."""
+    saved = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, saved):
+            p.requires_grad = flag
 
 
 def tape(root: Var) -> list[Var]:

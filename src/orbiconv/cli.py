@@ -114,7 +114,8 @@ def _cmd_robustness(args) -> int:
     rows = robustness_eval(model, test_ds, sweep)
     path = os.path.join(out_dir, "robustness.csv")
     _write(path, robustness_csv(rows))
-    write_manifest(out_dir, cfg, sweep.seed, [path])
+    write_manifest(out_dir, cfg, {"train": tcfg.seed, "sweep": sweep.seed},
+                   [path])
     print(f"wrote {path} (final train err trace: {report.test_err[-1]:.4f})")
     return 0
 

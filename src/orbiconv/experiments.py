@@ -400,9 +400,11 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
 
-def write_manifest(out_dir: str, config: dict, seed: int | list[int],
+def write_manifest(out_dir: str, config: dict,
+                   seed: int | list[int] | dict[str, int],
                    outputs: list[str]) -> str:
-    """Record config hash, seed(s) and content hashes of the produced files."""
+    """Record config hash, seed(s) and content hashes of the produced files.
+    A run with several seeds passes them by name (`robustness`: train, sweep)."""
     cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
     manifest = {
         "config_sha256": hashlib.sha256(cfg_bytes).hexdigest(),

@@ -1,13 +1,17 @@
 """Convolution, pooling and dense layers over the autodiff engine.
 
-Convolution is implemented with im2col patch extraction. This is the single
-site where the y-up sampling geometry maps onto image indexing: kernel slot
-(kr, kc) reads the pixel displaced by (row, col) = (d*(kr-m), d*(kc-m)),
-which is exactly the row-major flattening used by the geometry and transform
-modules. col2im, the adjoint, adds the patch gradients back slot by slot,
-in slot order, onto the strided window each slot read; that summation order
-keeps every gradient byte-identical to the fancy-index scatter-add
-reference kept in `tests/conftest.py`.
+Every conv and pool reads the padded input through one strided view,
+`_tap_windows`: kernel slot (kr, kc) reads the pixel displaced by
+(row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
+flattening used by the geometry and transform modules. Only dense convs and
+pools copy the windows into im2col patches and add patch gradients back
+with col2im; col2im adds them slot by slot, in slot order, onto the window
+each slot read. Depthwise convs never build patches: the forward and the
+input gradient loop over the slots in order on the windows, and only the
+weight gradient gathers a copy, in the memory order a fancy-index gather
+returns, since einsum's summation order follows its operands' layouts.
+Those orders keep every value byte-identical to the fancy-index,
+scatter-add and einsum references kept in `tests/conftest.py`.
 
 Circular layers hold a TransformMatrix and re-parameterize their weights
 once per forward pass (effective kernel = B^T @ w); the backward pass maps
@@ -19,6 +23,7 @@ and a circular layer differ only in the fixed matrix.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import Var
 from .geometry import Mode, circular_points
@@ -30,33 +35,58 @@ from .transform import (
 )
 
 
-def _out_size(n: int, k: int, stride: int, pad: int, dil: int) -> int:
-    return (n + 2 * pad - dil * (k - 1) - 1) // stride + 1
-
-
-def _tap_indices(h: int, w: int, k: int, stride: int, pad: int, dil: int):
-    """Padded-input rows (K, OH) and cols (K, OW) read by each kernel tap."""
-    oh = _out_size(h, k, stride, pad, dil)
-    ow = _out_size(w, k, stride, pad, dil)
+def _out_shape(h: int, w: int, k: int, stride: int, pad: int,
+               dil: int) -> tuple[int, int]:
+    oh, ow = ((n + 2 * pad - dil * (k - 1) - 1) // stride + 1 for n in (h, w))
     if oh < 1 or ow < 1:
         raise ValueError(f"zero-sized output for input {h}x{w}, K={k}, "
                          f"stride={stride}, pad={pad}, dilation={dil}")
-    taps = np.arange(k)[:, None] * dil
-    return taps + np.arange(oh) * stride, taps + np.arange(ow) * stride
+    return oh, ow
+
+
+def _pad(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
+    """(N, C, H, W) -> (N, C, H + 2*pad, W + 2*pad) with `value` borders."""
+    if pad == 0:
+        return x
+    n, c, h, w = x.shape
+    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), value, dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+def _tap_windows(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
+                 dil: int, writeable: bool = False) -> np.ndarray:
+    """(N, C, K, K, OH, OW) view of a padded input: [:, :, kr, kc] is the
+    strided window kernel slot (kr, kc) reads. No two elements of one
+    slot's window share memory, so a slot's window may be added onto."""
+    sn, sc, sh, sw = xp.strides
+    return as_strided(xp, xp.shape[:2] + (k, k, oh, ow),
+                      (sn, sc, dil * sh, dil * sw, stride * sh, stride * sw),
+                      writeable=writeable)
+
+
+def _batch_order(a: np.ndarray) -> tuple[int, int]:
+    """Axes 0 (N) and 1 (C) of `a`, outer one first in memory."""
+    return (0, 1) if a.strides[0] >= a.strides[1] else (1, 0)
+
+
+def _gather(win: np.ndarray) -> np.ndarray:
+    """Copy tap windows to (N, C, K*K, OH*OW) patches with the memory layout
+    of a fancy-index gather: (K*K, OH*OW) outer, then N and C in the padded
+    input's order. einsum sums in an order that follows its operands'
+    layouts, so this layout keeps every bit of a conv."""
+    n, c, k, _, oh, ow = win.shape
+    order = (2, 3, 4, 5) + _batch_order(win)
+    cols = np.ascontiguousarray(win.transpose(order))
+    return cols.transpose(np.argsort(order)).reshape(n, c, k * k, oh * ow)
 
 
 def extract_patches(x: np.ndarray, k: int, stride: int, pad: int, dil: int,
                     pad_value: float = 0.0) -> np.ndarray:
     """(N, C, H, W) -> (N, C, K*K, OH*OW) row-major kernel patches."""
-    n, c, h, w = x.shape
-    if pad > 0:
-        xp = np.full((n, c, h + 2 * pad, w + 2 * pad), pad_value, dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x
-    else:
-        xp = x
-    rows, cols = _tap_indices(h, w, k, stride, pad, dil)
-    patches = xp[:, :, rows[:, None, :, None], cols[None, :, None, :]]
-    return patches.reshape(n, c, k * k, -1)
+    oh, ow = _out_shape(*x.shape[2:], k, stride, pad, dil)
+    return _gather(_tap_windows(_pad(x, pad, pad_value), k, oh, ow, stride,
+                                dil))
 
 
 def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
@@ -64,12 +94,12 @@ def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
     """Adjoint of extract_patches: add each kernel slot's patch gradients
     onto the strided window that slot read, slots in order 0..K*K-1."""
     n, c, h, w = in_shape
-    rows, cols = _tap_indices(h, w, k, stride, pad, dil)
-    g = g.reshape(n, c, k * k, rows.shape[1], cols.shape[1])
+    oh, ow = _out_shape(h, w, k, stride, pad, dil)
+    g = g.reshape(n, c, k * k, oh, ow)
     gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+    win = _tap_windows(gxp, k, oh, ow, stride, dil, writeable=True)
     for slot in range(k * k):
-        r, q = rows[slot // k], cols[slot % k]
-        gxp[:, :, r[0]:r[-1] + 1:stride, q[0]:q[-1] + 1:stride] += g[:, :, slot]
+        win[:, :, slot // k, slot % k] += g[:, :, slot]
     return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
@@ -102,16 +132,34 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
     else:
         w_eff = w_flat
 
-    oh = _out_size(h, k, stride, padding, dilation)
-    ow = _out_size(w, k, stride, padding, dilation)
-    patches = extract_patches(x.data, k, stride, padding, dilation)
-
+    oh, ow = _out_shape(h, w, k, stride, padding, dilation)
     if depthwise:
-        out = np.einsum("ck,nckl->ncl", w_eff.reshape(c, kk), patches)
+        # tap loop over strided windows: the slot order and the zero start
+        # give the bytes of einsum("ck,nckl->ncl") over im2col patches, and
+        # `out` takes that einsum's memory layout: (OH, OW) outer when K = 1
+        # or C = 1, else C order, or (C, OH, OW, N) when N is the input's
+        # inner batch axis. The gradient inherits the layout, and the
+        # weight-gradient einsum sums in an order that follows it.
+        xp = _pad(x.data, padding)
+        win = _tap_windows(xp, k, oh, ow, stride, dilation)
+        w_dw = w_eff.reshape(c, kk, 1, 1)
+        if n * c * oh * ow == 1:
+            # a one-element einsum is numpy's dot kernel, which sums in lanes
+            out = np.einsum("ck,nckl->ncl", w_dw.reshape(c, kk), _gather(win))
+            out = out.reshape(n, c, oh, ow)
+        else:
+            order = _batch_order(xp)
+            order = ((2, 3) + order if k == 1 or c == 1 else
+                     (0, 1, 2, 3) if order == (0, 1) else (1, 2, 3, 0))
+            out = np.zeros([(n, c, oh, ow)[a] for a in order],
+                           np.result_type(w_dw, xp)).transpose(np.argsort(order))
+            for slot in range(kk):
+                out += w_dw[:, slot] * win[:, :, slot // k, slot % k]
     else:
+        patches = extract_patches(x.data, k, stride, padding, dilation)
         patches = patches.reshape(n, cin * kk, -1)  # a copy; bw reuses it
         out = np.einsum("of,nfl->nol", w_eff.reshape(cout, cin * kk), patches)
-    out = out.reshape(n, cout, oh, ow)
+        out = out.reshape(n, cout, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
 
@@ -123,14 +171,19 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
             bias.accumulate(gl.sum(axis=(0, 2)))
         if depthwise:
             if weights.requires_grad:
-                g_eff = np.einsum("ncl,nckl->ck", gl, patches).reshape(c, 1, kk)
+                cols = _gather(_tap_windows(xp, k, oh, ow, stride, dilation))
+                g_eff = np.einsum("ncl,nckl->ck", gl, cols).reshape(c, 1, kk)
                 if transform is not None:
                     g_eff = transform_gradient_pushforward(g_eff, transform)
                 weights.accumulate(g_eff.reshape(weights.data.shape))
             if x.requires_grad:
-                gp = np.einsum("ck,ncl->nckl", w_eff.reshape(c, kk), gl)
-                x.accumulate(scatter_patches(gp, x.data.shape, k, stride,
-                                             padding, dilation))
+                gxp = np.zeros(xp.shape, dtype=np.result_type(w_dw, g))
+                gwin = _tap_windows(gxp, k, oh, ow, stride, dilation,
+                                    writeable=True)
+                for slot in range(kk):
+                    gwin[:, :, slot // k, slot % k] += w_dw[:, slot] * g
+                x.accumulate(gxp[:, :, padding:padding + h,
+                                 padding:padding + w])
         else:
             if weights.requires_grad:
                 g_eff = np.einsum("nol,nfl->of", gl, patches).reshape(
@@ -149,8 +202,7 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
 
 def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     n, c, h, w = x.data.shape
-    oh = _out_size(h, k, stride, padding, 1)
-    ow = _out_size(w, k, stride, padding, 1)
+    oh, ow = _out_shape(h, w, k, stride, padding, 1)
     patches = extract_patches(x.data, k, stride, padding, 1, pad_value=-np.inf)
     arg = patches.argmax(axis=2)
     out = np.take_along_axis(patches, arg[:, :, None, :], axis=2)[:, :, 0, :]
@@ -167,8 +219,7 @@ def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
 
 def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     n, c, h, w = x.data.shape
-    oh = _out_size(h, k, stride, padding, 1)
-    ow = _out_size(w, k, stride, padding, 1)
+    oh, ow = _out_shape(h, w, k, stride, padding, 1)
     patches = extract_patches(x.data, k, stride, padding, 1)
     out = patches.mean(axis=2)
 

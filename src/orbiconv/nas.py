@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Var, add, relu, softmax_vec, weighted_sum
+from .autodiff import Var, add, frozen, relu, softmax_vec, weighted_sum
 from .data import Dataset
 from .geometry import Mode
 from .layers import (
@@ -377,12 +377,14 @@ def search(train_split: Dataset, val_split: Dataset,
     """First-order alternating bilevel search.
 
     Per iteration: one SGD step of the weights on a train batch, then one
-    Adam step of the alphas on a validation batch. Deterministic per seed.
+    Adam step of the alphas on a validation batch. Each phase differentiates
+    only the group it steps: the weight phase runs with the alphas frozen
+    and the alpha phase with the weights frozen. Deterministic per seed.
     """
     net = SearchNetwork(cfg)
-    w_opt = SGD(net.params(), cfg.momentum, cfg.weight_decay)
-    a_opt = Adam(net.arch_params(), cfg.alpha_lr, cfg.alpha_betas,
-                 cfg.alpha_weight_decay)
+    weights, arch = net.params(), net.arch_params()
+    w_opt = SGD(weights, cfg.momentum, cfg.weight_decay)
+    a_opt = Adam(arch, cfg.alpha_lr, cfg.alpha_betas, cfg.alpha_weight_decay)
     opts = (w_opt, a_opt)
     report = SearchReport()
     n_train, n_val = len(train_split), len(val_split)
@@ -394,14 +396,18 @@ def search(train_split: Dataset, val_split: Dataset,
         n_batches = (n_train + cfg.batch_size - 1) // cfg.batch_size
         for b in range(n_batches):
             t_idx = t_order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            t_losses.append(backprop(net, train_split, t_idx, opts,
-                                     f"epoch {epoch}, batch {b}, weight phase"))
+            with frozen(arch):
+                t_losses.append(backprop(
+                    net, train_split, t_idx, opts,
+                    f"epoch {epoch}, batch {b}, weight phase"))
             w_opt.step(lr)
 
             v_start = (b * cfg.batch_size) % max(1, n_val)
             v_idx = v_order[v_start:v_start + cfg.batch_size]
-            v_losses.append(backprop(net, val_split, v_idx, opts,
-                                     f"epoch {epoch}, batch {b}, alpha phase"))
+            with frozen(weights):
+                v_losses.append(backprop(
+                    net, val_split, v_idx, opts,
+                    f"epoch {epoch}, batch {b}, alpha phase"))
             a_opt.step()
         report.train_loss.append(float(np.mean(t_losses)))
         report.val_loss.append(float(np.mean(v_losses)))

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
+from orbiconv.autodiff import Var
 from orbiconv.geometry import circular_points
+from orbiconv.transform import reparameterize, transform_gradient_pushforward
 
 
 def bilin_sample_dilated(img: np.ndarray, row: float, col: float,
@@ -145,3 +147,40 @@ def reference_scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int]
     if pad > 0:
         gxp = gxp[:, :, pad:pad + h, pad:pad + w]
     return gxp
+
+
+# The einsum/im2col depthwise convolution that `orbiconv.layers.conv2d` ran
+# before its tap loop over strided windows, kept as the slow reference. The
+# weight transform (B^T w and its adjoint) is the library's own, which the
+# transform tests check against dense matrices.
+
+
+def reference_conv2d(x, weights, *, stride: int = 1, padding: int = 0,
+                     dilation: int = 1, transform=None):
+    """Depthwise conv of Var `x` (N, C, H, W) with Var `weights`
+    (C, 1, K, K) through im2col patches; returns a Var."""
+    n, c, h, w = x.data.shape
+    k = weights.data.shape[-1]
+    kk = k * k
+    w_flat = weights.data.reshape(c, 1, kk)
+    w_eff = (w_flat if transform is None
+             else reparameterize(w_flat, transform)).reshape(c, kk)
+    oh = _out_size(h, k, stride, padding, dilation)
+    ow = _out_size(w, k, stride, padding, dilation)
+    patches = reference_extract_patches(x.data, k, stride, padding, dilation)
+    patches = patches.reshape(n, c, kk, -1)
+    out = np.einsum("ck,nckl->ncl", w_eff, patches).reshape(n, c, oh, ow)
+
+    def bw(g):
+        gl = g.reshape(n, c, -1)
+        if weights.requires_grad:
+            g_eff = np.einsum("ncl,nckl->ck", gl, patches).reshape(c, 1, kk)
+            if transform is not None:
+                g_eff = transform_gradient_pushforward(g_eff, transform)
+            weights.accumulate(g_eff.reshape(weights.data.shape))
+        if x.requires_grad:
+            gp = np.einsum("ck,ncl->nckl", w_eff, gl)
+            x.accumulate(reference_scatter_patches(gp, x.data.shape, k, stride,
+                                                   padding, dilation))
+
+    return Var(out, (x, weights), bw)

@@ -5,6 +5,7 @@ from orbiconv.autodiff import (
     Var,
     add,
     concat,
+    frozen,
     matmul,
     mean_all,
     mul,
@@ -114,6 +115,22 @@ def test_no_grad_leaves_skipped():
     out.backward()
     assert a.grad is None
     assert b.grad is not None
+
+
+def test_computed_var_requires_grad_exactly_when_a_parent_does():
+    a, b = Var(np.ones(3)), Var(np.ones(3))
+    with frozen([a]):
+        assert not a.requires_grad and not relu(a).requires_grad
+        out = mean_all(mul(relu(a), b))
+        assert out.requires_grad
+    assert a.requires_grad
+    out.backward()
+    assert a.grad is None and b.grad is not None
+    c = Var(np.ones(3), requires_grad=False)
+    with pytest.raises(KeyError):
+        with frozen([b, c]):
+            raise KeyError("body")
+    assert b.requires_grad and not c.requires_grad
 
 
 def test_backward_needs_scalar():

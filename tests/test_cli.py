@@ -119,6 +119,23 @@ def test_robustness_command(tmp_path):
     assert any(line.startswith("rotate,45,") for line in text.splitlines())
 
 
+def test_robustness_manifest_names_both_seeds(tmp_path):
+    cfg = tmp_path / "rob.cfg"
+    cfg.write_text(
+        "data.kind = oriented_bars\n"
+        "data.n_per_class = 4\n"
+        "data.size = 12\n"
+        "train.epochs = 1\n"
+        "train.batch_size = 8\n"
+        "train.seed = 7\n"
+        "robustness.angles = 15\n"
+        "robustness.trials = 1\n"
+        f"out.dir = {tmp_path}\n")
+    assert main(["robustness", "--config", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["seed"] == {"train": 7, "sweep": 0}
+
+
 def test_search_command(tmp_path):
     cfg = tmp_path / "search.cfg"
     cfg.write_text(

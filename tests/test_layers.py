@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import (
     direct_circular_conv,
     direct_square_conv,
+    reference_conv2d,
     reference_extract_patches,
     reference_scatter_patches,
 )
@@ -177,24 +178,37 @@ def test_k1_identity_kernel_passes_grad_through():
     assert np.array_equal(x.grad, g)
 
 
+# memory orders of an (N, C, H, W) input, outer axis first
+_LAYOUTS = {"nchw": (0, 1, 2, 3), "hwnc": (2, 3, 0, 1), "chwn": (1, 2, 3, 0)}
+
+
+def _laid_out(x, layout):
+    order = _LAYOUTS[layout]
+    return np.ascontiguousarray(x.transpose(order)).transpose(np.argsort(order))
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 12),
        w=st.integers(1, 12), k=st.sampled_from([1, 3, 5, 7]),
        stride=st.integers(1, 3), dil=st.integers(1, 3), pad=st.integers(0, 4),
        dtype=st.sampled_from([np.float32, np.float64]),
-       seed=st.integers(0, 2**32 - 1))
+       layout=st.sampled_from(list(_LAYOUTS)), seed=st.integers(0, 2**32 - 1))
 @example(n=1, c=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
-         dtype=np.float32, seed=0)  # a single output pixel
+         dtype=np.float32, layout="nchw", seed=0)  # a single output pixel
 @example(n=2, c=3, h=12, w=11, k=3, stride=2, dil=3, pad=4,
-         dtype=np.float32, seed=1)  # stride and dilation both above 1
+         dtype=np.float32, layout="nchw",
+         seed=1)  # stride and dilation both above 1
 @example(n=1, c=2, h=2, w=9, k=3, stride=1, dil=1, pad=0,
-         dtype=np.float64, seed=2)  # zero output rows
+         dtype=np.float64, layout="nchw", seed=2)  # zero output rows
+@example(n=3, c=2, h=6, w=6, k=1, stride=1, dil=1, pad=0,
+         dtype=np.float64, layout="chwn", seed=3)  # batch innermost
 def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
-                                              dtype, seed):
+                                              dtype, layout, seed):
     """im2col and col2im give the reference's bytes, raise where it raises,
-    and are adjoint: <extract(x), g> = <x, scatter(g)>."""
+    and are adjoint: <extract(x), g> = <x, scatter(g)>. im2col also keeps
+    the reference's memory layout, which sets the dense einsums' bits."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    x = _laid_out(rng.standard_normal((n, c, h, w)).astype(dtype), layout)
     args = (k, stride, pad, dil)
     try:
         ref = reference_extract_patches(x, *args)
@@ -211,6 +225,8 @@ def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
         assert got.shape == ref.shape
         assert got.tobytes() == reference_extract_patches(
             x, *args, pad_value).tobytes()
+        assert [s for s, m in zip(got.strides, got.shape) if m > 1] == [
+            s for s, m in zip(ref.strides, ref.shape) if m > 1]
     g = rng.standard_normal(ref.shape).astype(dtype)
     gx = scatter_patches(g, x.shape, *args)
     assert gx.shape == x.shape and gx.dtype == dtype
@@ -218,3 +234,60 @@ def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
     if dtype is np.float64:
         lhs, rhs = np.sum(ref * g), np.sum(x * gx)
         assert abs(lhs - rhs) <= 1e-12 * max(np.sum(np.abs(ref * g)), 1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 12),
+       w=st.integers(1, 12), k=st.sampled_from([1, 3, 5, 7]),
+       stride=st.integers(1, 3), dil=st.integers(1, 3), pad=st.integers(0, 4),
+       dtypes=st.sampled_from([(np.float32, np.float32),
+                               (np.float64, np.float64),
+                               (np.float64, np.float32)]),
+       circular=st.booleans(), layout=st.sampled_from(list(_LAYOUTS)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, c=3, h=4, w=5, k=1, stride=1, dil=1, pad=2,
+         dtypes=(np.float32, np.float32), circular=False, layout="nchw",
+         seed=3)  # K = 1 with padding: borders must be +0.0, as in einsum
+@example(n=1, c=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
+         dtypes=(np.float64, np.float32), circular=True, layout="nchw",
+         seed=4)  # one output element, float64 input on float32 weights
+@example(n=2, c=3, h=12, w=11, k=3, stride=2, dil=3, pad=4,
+         dtypes=(np.float32, np.float32), circular=True, layout="nchw",
+         seed=5)  # stride and dilation both above 1
+@example(n=3, c=2, h=7, w=6, k=3, stride=1, dil=1, pad=0,
+         dtypes=(np.float32, np.float32), circular=False, layout="chwn",
+         seed=6)  # unpadded input with the batch innermost
+def test_depthwise_conv_matches_reference_bytes(n, c, h, w, k, stride, dil,
+                                                pad, dtypes, circular, layout,
+                                                seed):
+    """The tap-loop depthwise conv gives the im2col reference's bytes for
+    the output, the weight gradient and the input gradient."""
+    rng = np.random.default_rng(seed)
+    x_dtype, w_dtype = dtypes
+    x_data = _laid_out(rng.standard_normal((n, c, h, w)).astype(x_dtype),
+                       layout)
+    w_data = -np.abs(rng.standard_normal((c, 1, k, k))).astype(w_dtype)
+    w_data[::2] *= -1  # negative weights on odd channels
+    transform = (build_transform(circular_points(k, dil))
+                 if circular and k > 1 else None)
+    kwargs = dict(stride=stride, padding=pad, dilation=dil, transform=transform)
+    runs = []
+    for conv in (reference_conv2d, conv2d):
+        x, wt = Var(x_data.copy(order="K")), Var(w_data.copy())
+        try:
+            out = (conv(x, wt, **kwargs) if conv is reference_conv2d
+                   else conv(x, wt, None, depthwise=True, **kwargs))
+        except ValueError as err:
+            runs.append(str(err))
+            continue
+        g = np.random.default_rng(seed + 1).standard_normal(
+            out.data.shape).astype(out.data.dtype)
+        out.backward(g)
+        runs.append((out.data, wt.grad, x.grad))
+    ref, got = runs
+    if isinstance(ref, str):
+        assert got == ref and "zero-sized output" in ref
+        return
+    for a, b in zip(ref, got):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()

@@ -3,9 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from orbiconv.autodiff import Var
-from orbiconv.data import Split, SynthKind, gen_synthetic
+from orbiconv.autodiff import Var, frozen
+from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.nas import (
+    Adam,
     CIRCULAR_OPS,
     CellGenotype,
     Identity,
@@ -21,7 +22,7 @@ from orbiconv.nas import (
     search,
 )
 from orbiconv.rng import stream
-from orbiconv.train import Schedule, TrainConfig
+from orbiconv.train import SGD, NumericalError, Schedule, TrainConfig, backprop
 
 
 def _const(arr):
@@ -262,3 +263,37 @@ def test_search_config_is_a_validated_train_config():
         SearchConfig(lr_init=0.0)
     with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
         SearchConfig(momentum=1.0)
+
+
+def test_each_search_phase_differentiates_only_what_it_steps():
+    """Over one weight step and one alpha step, freezing the other group
+    leaves the stepped group's gradients byte-identical and the frozen
+    group's gradients None; `frozen` restores the flags, also on error."""
+    cfg = SearchConfig(num_nodes=4, num_cells=2, channels=4, epochs=1,
+                       batch_size=4, seed=3)
+    tr, va = _tiny_splits()
+    idx = np.arange(4)
+    grads = {}
+    for freeze in (False, True):
+        net = SearchNetwork(cfg)
+        weights, arch = net.params(), net.arch_params()
+        w_opt = SGD(weights, cfg.momentum, cfg.weight_decay)
+        opts = (w_opt, Adam(arch, cfg.alpha_lr, cfg.alpha_betas,
+                            cfg.alpha_weight_decay))
+        steps = []
+        for stepped, other, ds in ((weights, arch, tr), (arch, weights, va)):
+            with frozen(other if freeze else []):
+                backprop(net, ds, idx, opts, "phase")
+                assert all(p.grad is None for p in other) == freeze
+            assert all(p.requires_grad for p in weights + arch)
+            steps.append([p.grad.tobytes() for p in stepped])
+            if stepped is weights:
+                w_opt.step(cfg.lr_init)
+        grads[freeze] = steps
+    assert grads[True] == grads[False]
+
+    bad = Dataset(np.full_like(tr.images, np.nan), tr.labels)
+    with pytest.raises(NumericalError, match="alpha phase"):
+        with frozen(weights):
+            backprop(net, bad, idx, opts, "alpha phase")
+    assert all(p.requires_grad for p in weights + arch)
