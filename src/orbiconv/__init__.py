@@ -30,7 +30,7 @@ from .nas import (
     mixed_op_forward,
     search,
 )
-from .train import Schedule, TrainConfig, TrainReport, train
+from .train import TrainConfig, TrainReport, train
 
 __all__ = [
     "Mode", "SamplePoint", "SamplePointSet", "circular_points", "offsets",
@@ -41,6 +41,5 @@ __all__ = [
     "gen_synthetic", "load_idx", "EvalBranch", "IntegratedConv",
     "Conv2d", "Linear", "Module", "CellGenotype", "PRIMITIVES",
     "SearchConfig", "SearchNetwork", "discretize", "genotype_to_dot",
-    "mixed_op_forward", "search", "Schedule", "TrainConfig", "TrainReport",
-    "train",
+    "mixed_op_forward", "search", "TrainConfig", "TrainReport", "train",
 ]

@@ -19,6 +19,7 @@ from .experiments import (
     SEARCH_DATA,
     ConfigError,
     RobustnessSweep,
+    compare_config,
     compare_kernels,
     data_config,
     from_config,
@@ -51,10 +52,8 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_transform(args) -> int:
     b = build_transform(circular_points(args.size, args.dilation))
-    lines = ["row,col,value"]
-    for i, row in enumerate(b.rows):
-        for col, val in row:
-            lines.append(f"{i},{col},{val:.17g}")
+    lines = ["row,col,value"] + [f"{i},{col},{val:.17g}"
+                                 for i, col, val in zip(*b.nonzeros)]
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -91,14 +90,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    csv_text, svg_text, seeds = compare_kernels(cfg)
+    ccfg = compare_config(cfg)
     out_dir = make_output_dir(cfg)
-    csv_path = os.path.join(out_dir, "compare.csv")
-    svg_path = os.path.join(out_dir, "compare.svg")
-    _write(csv_path, csv_text)
-    _write(svg_path, svg_text)
-    write_manifest(out_dir, cfg, seeds, [csv_path, svg_path])
-    print(f"wrote {csv_path} and {svg_path}")
+    paths = [os.path.join(out_dir, f"compare.{ext}") for ext in ("csv", "svg")]
+    for path, text in zip(paths, compare_kernels(ccfg)):
+        _write(path, text)
+    write_manifest(out_dir, cfg, ccfg.seeds, paths)
+    print(f"wrote {paths[0]} and {paths[1]}")
     return 0
 
 

@@ -45,15 +45,20 @@ class Dataset:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
-def ring_template(kernel_size: int = 5) -> np.ndarray:
-    """Effective square-grid footprint of a uniform outer-ring circular
-    kernel: B^T applied to the indicator of the outermost ring's slots."""
+def _circular_footprint(kernel_size: int, outer_ring: bool) -> np.ndarray:
+    """Effective square-grid footprint of a uniform circular kernel: B^T
+    applied to the indicator of the outermost ring's slots (`outer_ring`) or
+    of every other ring's slots, normalized to unit L1 norm."""
     geo = circular_points(kernel_size)
-    b = build_transform(geo)
     m = (kernel_size - 1) // 2
-    w = np.array([1.0 if r == m else 0.0 for r in geo.rings])
-    eff = reparameterize(w, b).reshape(kernel_size, kernel_size)
+    w = np.array([1.0 if (r == m) == outer_ring else 0.0 for r in geo.rings])
+    eff = reparameterize(w, build_transform(geo)).reshape(kernel_size, -1)
     return eff / np.abs(eff).sum()
+
+
+def ring_template(kernel_size: int = 5) -> np.ndarray:
+    """Footprint of a uniform outer-ring circular kernel."""
+    return _circular_footprint(kernel_size, outer_ring=True)
 
 
 def square_ring_template(kernel_size: int = 5) -> np.ndarray:
@@ -63,17 +68,6 @@ def square_ring_template(kernel_size: int = 5) -> np.ndarray:
     w = np.array([1.0 if r == m else 0.0 for r in geo.rings])
     w = w.reshape(kernel_size, kernel_size)
     return w / w.sum()
-
-
-def disk_template(kernel_size: int = 5) -> np.ndarray:
-    """Effective square-grid footprint of a uniform filled-disk circular
-    kernel: B^T applied to the indicator of all rings but the outermost."""
-    geo = circular_points(kernel_size)
-    b = build_transform(geo)
-    m = (kernel_size - 1) // 2
-    w = np.array([1.0 if r < m else 0.0 for r in geo.rings])
-    eff = reparameterize(w, b).reshape(kernel_size, kernel_size)
-    return eff / np.abs(eff).sum()
 
 
 def corner_template(kernel_size: int = 5) -> np.ndarray:
@@ -111,7 +105,8 @@ def gen_synthetic(kind: SynthKind, n_per_class: int, size: int,
     labels = np.zeros(n, dtype=np.int64)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     if kind is SynthKind.PLANTED_CIRCULAR:
-        planted = (disk_template(5), ring_template(5))  # indexed by label
+        # indexed by label: the filled disk, then the outer ring
+        planted = tuple(_circular_footprint(5, ring) for ring in (False, True))
         distract = corner_template(5)
 
     for i in range(n):

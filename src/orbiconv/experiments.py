@@ -174,49 +174,32 @@ class SmallCNN(Module):
         return self.head(global_avg_pool(x))
 
 
-def compare_kernels(cfg: dict) -> tuple[str, str, list[int]]:
+def compare_kernels(ccfg: CompareConfig) -> tuple[str, str]:
     """Train every (shape, K, seed) combination on identical data and seeds.
 
-    Returns (long-format CSV text, SVG line chart text, seeds run). CSV rows
-    are shape,K,seed,final_test_err with aggregate shape,K,mean,std rows
-    after. Raises ConfigError for a key that is not read (`out.dir` aside).
+    Returns (long-format CSV text, SVG line chart text). CSV rows are
+    shape,K,seed,final_test_err with aggregate shape,K,mean,std rows after.
     """
-    if not isinstance(cfg, Config):
-        cfg = Config(cfg)
-    data = data_config(cfg, section="compare", kind_key="dataset")
-    shapes = cfg.value("compare.shapes", ["square", "circle"])
-    for shape in shapes:
-        kernel_shape(shape)
-    kernel_sizes = cfg.value("compare.kernel_sizes", [3, 5])
-    seeds = cfg.value("compare.seeds", [0, 1, 2])
-    tcfg = train_config(cfg,
-                        names=tuple(k for k in TRAIN_KEYS if k != "seed"))
-    integrated = integrated_options(cfg)
-    cfg.reject_unread(known=("out.dir",))
-
     rows = []
     results: dict[tuple[str, int], list[float]] = {}
-    for k in kernel_sizes:
-        for shape in shapes:
-            errs = []
-            for seed in seeds:
-                train_ds, test_ds = data.splits(seed)
+    for k in ccfg.kernel_sizes:
+        for shape in ccfg.shapes:
+            errs = results[(shape, k)] = []
+            for seed in ccfg.seeds:
+                train_ds, test_ds = ccfg.data.splits(seed)
                 model = SmallCNN(kernel_size=k, shape=shape, seed=seed,
                                  num_classes=train_ds.num_classes,
-                                 **integrated)
-                report = train(model, train_ds, test_ds,
-                               replace(tcfg, seed=seed))
-                err = report.test_err[-1]
+                                 **ccfg.integrated)
+                err = train(model, train_ds, test_ds,
+                            replace(ccfg.train, seed=seed)).test_err[-1]
                 errs.append(err)
                 rows.append(f"{shape},{k},{seed},{err!r}")
-            results[(shape, k)] = errs
     lines = ["shape,K,seed,final_test_err"] + rows
     for (shape, k), errs in results.items():
         lines.append(f"{shape},{k},mean,{float(np.mean(errs))!r}")
         lines.append(f"{shape},{k},std,{float(np.std(errs))!r}")
-    csv_text = "\n".join(lines) + "\n"
-    svg_text = _error_chart_svg(results, kernel_sizes, shapes)
-    return csv_text, svg_text, seeds
+    return ("\n".join(lines) + "\n",
+            _error_chart_svg(results, ccfg.kernel_sizes, ccfg.shapes))
 
 
 _SVG_COLORS = {"square": "#1f77b4", "circle": "#d62728",
@@ -291,10 +274,9 @@ class Config(dict):
         except ValueError as e:
             raise ConfigError(f"{key}: {e}") from None
 
-    def reject_unread(self, known: tuple[str, ...] = ()) -> None:
-        """Raise ConfigError naming every key neither read so far nor in
-        `known`."""
-        unknown = sorted(set(self) - self.read - set(known))
+    def reject_unread(self) -> None:
+        """Raise ConfigError naming every key not read so far."""
+        unknown = sorted(set(self) - self.read)
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
@@ -312,7 +294,7 @@ def from_config(default, cfg: Config, section: str, names: tuple[str, ...]):
 
 
 TRAIN_KEYS = ("epochs", "batch_size", "lr_init", "momentum", "weight_decay",
-              "warmup_epochs", "seed")
+              "warmup_epochs", "seed")  # seed last: compare reads the rest
 
 
 def train_config(cfg: Config, default: TrainConfig = TrainConfig(),
@@ -352,6 +334,33 @@ def integrated_options(cfg: Config) -> dict:
     """SmallCNN's `p_circular` and `eval_branch` from `integrated.*`."""
     return _read_section(cfg, "integrated", ("p_circular", "eval_branch"),
                          SmallCNN.__init__.__kwdefaults__)
+
+
+@dataclass
+class CompareConfig:
+    """What `compare_kernels` runs: each (shape, K, seed) trains `train`,
+    with the run's seed, on `data`'s splits of that seed."""
+    data: DataConfig = field(default_factory=DataConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    integrated: dict = field(default_factory=dict)  # SmallCNN options
+    shapes: list[str] = field(default_factory=lambda: ["square", "circle"])
+    kernel_sizes: list[int] = field(default_factory=lambda: [3, 5])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
+
+    def __post_init__(self) -> None:
+        for shape in self.shapes:
+            kernel_shape(shape)
+        if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
+            raise ValueError(
+                f"kernel_sizes must be odd and >= 1: {self.kernel_sizes}")
+
+
+def compare_config(cfg: Config) -> CompareConfig:
+    """`compare.*`, `train.*` but the seed, and `integrated.*`."""
+    ccfg = CompareConfig(data_config(cfg, DataConfig(), "compare", "dataset"),
+                         train_config(cfg, names=TRAIN_KEYS[:-1]),
+                         integrated_options(cfg))
+    return from_config(ccfg, cfg, "compare", ("shapes", "kernel_sizes", "seeds"))
 
 
 def train_setup(cfg: Config) -> tuple[TrainConfig, SmallCNN, Dataset, Dataset]:

@@ -31,7 +31,7 @@ from .layers import (
     max_pool2d,
 )
 from .rng import stream
-from .train import SGD, Schedule, TrainConfig, backprop, evaluate, lr_at
+from .train import SGD, TrainConfig, backprop, evaluate, lr_at
 
 PRIMITIVES = [
     "sep_conv_3x3",
@@ -195,7 +195,6 @@ class SearchConfig(TrainConfig):
     """The weight phase's TrainConfig plus the supernet and alpha settings."""
     epochs: int = 20
     weight_decay: float = 3e-4
-    schedule: Schedule = field(default=Schedule.COSINE, init=False)
     num_nodes: int = 5
     num_cells: int = 4          # last one is the reduction cell
     channels: int = 8
@@ -205,6 +204,12 @@ class SearchConfig(TrainConfig):
     alpha_weight_decay: float = 1e-3
     alpha_betas: tuple[float, float] = (0.5, 0.999)
     op_names: list[str] = field(default_factory=lambda: list(PRIMITIVES))
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name, least in (("num_nodes", 3), ("channels", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 class SearchNetwork(Module):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -13,11 +12,6 @@ from .autodiff import Var
 from .data import Dataset
 from .layers import Module, softmax_cross_entropy
 from .rng import stream
-
-
-class Schedule(Enum):
-    COSINE = "cosine"
-    CONSTANT = "constant"
 
 
 class NumericalError(RuntimeError):
@@ -32,12 +26,13 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     warmup_epochs: int = 0
-    schedule: Schedule = Schedule.COSINE
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.lr_init <= 0:
             raise ValueError("lr_init must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
 
@@ -57,11 +52,9 @@ class TrainReport:
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
     """Learning rate for a 0-based epoch index: linear warm-up, then a
-    half-cosine decay toward zero (or constant)."""
+    half-cosine decay toward zero."""
     if epoch < cfg.warmup_epochs:
         return cfg.lr_init * (epoch + 1) / cfg.warmup_epochs
-    if cfg.schedule is Schedule.CONSTANT:
-        return cfg.lr_init
     span = max(1, cfg.epochs - cfg.warmup_epochs)
     progress = (epoch - cfg.warmup_epochs) / span
     return cfg.lr_init * 0.5 * (1.0 + math.cos(math.pi * progress))

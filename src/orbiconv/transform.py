@@ -12,14 +12,16 @@ point falls exactly on a grid point are standard-basis rows. For dilation d
 the hat functions act on coordinates divided by d (interpolation between the
 d-spaced grid samples), which makes B independent of the dilation.
 
-Both directions of the map are provided: resampling an input patch (B @ patch)
-and re-parameterizing kernel weights (B^T @ w), which turns circular
-convolution into a standard convolution with the effective kernel B^T @ w.
+Resampling a patch (B @ patch) and re-parameterizing weights (B^T @ w, the
+effective kernel of an equivalent standard convolution) are one product that
+adds B's nonzero terms onto zeros in B's row-major order, fixing each output
+slot's summation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +43,15 @@ class TransformMatrix:
     def n(self) -> int:
         return self.kernel_size**2
 
+    @cached_property
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B's nonzeros as row-major (row, col, coeff) arrays."""
+        return tuple(np.array(a) for a in zip(
+            *((i, c, v) for i, row in enumerate(self.rows) for c, v in row)))
+
     def dense(self, dtype=np.float64) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=dtype)
-        for i, row in enumerate(self.rows):
-            for col, val in row:
-                out[i, col] = val
+        out[self.nonzeros[:2]] = self.nonzeros[2]
         return out
 
     def is_identity(self) -> bool:
@@ -96,38 +102,33 @@ def build_transform(geometry: SamplePointSet) -> TransformMatrix:
     return TransformMatrix(k, d, tuple(rows))
 
 
-def reparameterize(weights: np.ndarray, b: TransformMatrix) -> np.ndarray:
-    """Effective kernel B^T @ w for a flat K^2 weight vector.
-
-    Computed once per forward pass; the result plugged into a standard
-    convolution reproduces the circular convolution exactly. Identity
-    transforms return the input unchanged (same object).
-    """
-    w = np.asarray(weights)
-    if w.shape[-1] != b.n:
-        raise ValueError(f"expected trailing dim {b.n}, got {w.shape}")
+def _b_product(x: np.ndarray, b: TransformMatrix, adjoint: bool) -> np.ndarray:
+    """B @ x, or B^T @ x if `adjoint`, over the trailing axis of `x`. The
+    unbuffered `add.at` sums the terms of each target in index order."""
+    a = np.asarray(x)
+    if a.shape[-1] != b.n:
+        raise ValueError(f"expected trailing dim {b.n}, got {a.shape}")
     if b.is_identity():
-        return weights
-    out = np.zeros_like(w)
-    for i, row in enumerate(b.rows):
-        for col, val in row:
-            out[..., col] += val * w[..., i]
+        return x
+    row, col, coeff = b.nonzeros
+    source, target = (row, col) if adjoint else (col, row)
+    out = np.zeros_like(a)
+    np.add.at(out, (..., target),
+              np.multiply(coeff, a[..., source], dtype=a.dtype))
     return out
+
+
+def reparameterize(weights: np.ndarray, b: TransformMatrix) -> np.ndarray:
+    """Effective kernel B^T @ w over a trailing K^2 axis; in a standard
+    convolution it reproduces the circular convolution exactly. Identity
+    transforms return `weights` itself."""
+    return _b_product(weights, b, adjoint=True)
 
 
 def resample_patch(patch: np.ndarray, b: TransformMatrix) -> np.ndarray:
     """B @ patch: bilinear resampling of a row-major K x K patch at the
     circular sample points."""
-    p = np.asarray(patch)
-    if p.shape[-1] != b.n:
-        raise ValueError(f"expected trailing dim {b.n}, got {p.shape}")
-    if b.is_identity():
-        return patch
-    out = np.zeros_like(p)
-    for i, row in enumerate(b.rows):
-        for col, val in row:
-            out[..., i] += val * p[..., col]
-    return out
+    return _b_product(patch, b, adjoint=False)
 
 
 def transform_gradient_pushforward(grad: np.ndarray, b: TransformMatrix) -> np.ndarray:

@@ -97,6 +97,38 @@ def direct_bilinear_at(patch: np.ndarray, x: float, y: float) -> float:
     return total
 
 
+# The loops over B's nonzeros that `orbiconv.transform` ran before its one
+# `np.add.at` product, kept as the slow reference.
+
+
+def reference_reparameterize(weights: np.ndarray, b) -> np.ndarray:
+    """B^T @ w, one nonzero of B at a time in row-major order."""
+    w = np.asarray(weights)
+    if w.shape[-1] != b.n:
+        raise ValueError(f"expected trailing dim {b.n}, got {w.shape}")
+    if b.is_identity():
+        return weights
+    out = np.zeros_like(w)
+    for i, row in enumerate(b.rows):
+        for col, val in row:
+            out[..., col] += val * w[..., i]
+    return out
+
+
+def reference_resample_patch(patch: np.ndarray, b) -> np.ndarray:
+    """B @ patch, one nonzero of B at a time in row-major order."""
+    p = np.asarray(patch)
+    if p.shape[-1] != b.n:
+        raise ValueError(f"expected trailing dim {b.n}, got {p.shape}")
+    if b.is_identity():
+        return patch
+    out = np.zeros_like(p)
+    for i, row in enumerate(b.rows):
+        for col, val in row:
+            out[..., i] += val * p[..., col]
+    return out
+
+
 # The fancy-index im2col and `np.add.at` col2im that `orbiconv.layers` used
 # before its strided-window engine, kept as the slow reference (less the
 # index cache, which never changed a value).

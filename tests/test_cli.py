@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from orbiconv import cli
+from orbiconv import cli, experiments
 from orbiconv.cli import main
 from orbiconv.orbt import load_tensor
 
@@ -191,6 +191,37 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, line, named", [
+    ("compare", "compare.kernel_sizes = 3,4", "kernel_sizes must be odd"),
+    ("train", "train.batch_size = 0", "batch_size must be at least 1"),
+    ("search", "search.batch_size = 0", "batch_size must be at least 1"),
+    ("search", "search.channels = 0", "channels must be at least 1"),
+    ("search", "search.num_nodes = 2", "num_nodes must be at least 3"),
+], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
+        "search-channels-0", "search-nodes-2"])
+def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
+                                           command, line, named):
+    """A value out of its field's range exits 2 naming the field, before
+    any data is generated or any training or search runs."""
+    def must_not_run(*args):
+        raise AssertionError("ran before checking the config")
+
+    for module, name in ((cli, "train"), (cli, "search"),
+                         (cli, "compare_kernels"),
+                         (experiments, "gen_synthetic")):
+        monkeypatch.setattr(module, name, must_not_run)
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "out"
+    cfg.write_text(f"{line}\n" + ("" if command == "search"
+                                   else f"out.dir = {out}\n"))
+    argv = [command, "--config", str(cfg)]
+    if command == "search":
+        argv += ["--out", str(tmp_path / "genotype.json")]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, line, key", [
     ("compare", "train.seed = 7", "train.seed"),
     ("search", "out.dir = OUT", "out.dir"),
@@ -213,13 +244,14 @@ def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, command,
     (["gen-data", "--n", "2", "--out", "MISSING/ds"], "MISSING/ds"),
     (["train", "--config", "CFG"], "FILE"),
     (["robustness", "--config", "CFG"], "FILE"),
+    (["compare", "--config", "CFG"], "FILE"),
     (["search", "--config", "CFG", "--out", "MISSING/g.json"],
      "MISSING/g.json"),
     (["search", "--config", "CFG", "--out", "TMP/g.json", "--dot",
       "MISSING/g.dot"], "MISSING/g.dot"),
     (["search", "--config", "CFG", "--out", "TMP"], "TMP"),
 ], ids=["geometry", "transform", "gen-data", "train", "robustness",
-        "search-out", "search-dot", "search-out-is-a-directory"])
+        "compare", "search-out", "search-dot", "search-out-is-a-directory"])
 def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys,
                                                    monkeypatch, argv, path):
     """A missing output directory, an `out.dir` that is a file or a search
@@ -229,6 +261,7 @@ def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "train", must_not_run)
     monkeypatch.setattr(cli, "search", must_not_run)
+    monkeypatch.setattr(cli, "compare_kernels", must_not_run)
     names = {"MISSING": str(tmp_path / "missing"), "TMP": str(tmp_path),
              "FILE": str(tmp_path / "file"), "CFG": str(tmp_path / "c.cfg")}
     (tmp_path / "file").write_text("")

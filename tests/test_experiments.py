@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from orbiconv.experiments import (
+    Config,
     ConfigError,
     RobustnessSweep,
     SmallCNN,
     WarpMode,
+    compare_config,
     compare_kernels,
     load_config,
+    make_output_dir,
     parse_config,
     robustness_csv,
     robustness_eval,
@@ -120,8 +123,9 @@ def test_compare_kernels_csv_and_svg():
         "train.epochs": "2",
         "train.batch_size": "8",
     }
-    csv_text, svg_text, seeds = compare_kernels(cfg)
-    assert seeds == [0, 1]
+    ccfg = compare_config(Config(cfg))
+    csv_text, svg_text = compare_kernels(ccfg)
+    assert ccfg.seeds == [0, 1]
     lines = csv_text.splitlines()
     assert lines[0] == "shape,K,seed,final_test_err"
     assert len(lines) == 1 + 4 + 4  # runs + mean/std per (shape, K)
@@ -134,9 +138,11 @@ def test_unknown_shape_and_config_key_rejected():
     with pytest.raises(ValueError, match="cirlce"):
         SmallCNN(shape="cirlce")
     with pytest.raises(ValueError, match="cirlce"):
-        compare_kernels({"compare.shapes": "square,cirlce"})
+        compare_config(Config({"compare.shapes": "square,cirlce"}))
+    cfg = Config({"compare.seed": "0", "out.dir": "."})
+    compare_config(cfg)
     with pytest.raises(ConfigError, match="compare.seed$"):
-        compare_kernels({"compare.seed": "0", "out.dir": "."})
+        make_output_dir(cfg)
 
 
 def test_parse_config():

@@ -22,7 +22,7 @@ from orbiconv.nas import (
     search,
 )
 from orbiconv.rng import stream
-from orbiconv.train import SGD, NumericalError, Schedule, TrainConfig, backprop
+from orbiconv.train import SGD, NumericalError, TrainConfig, backprop
 
 
 def _const(arr):
@@ -253,11 +253,8 @@ def test_search_config_is_a_validated_train_config():
     assert issubclass(SearchConfig, TrainConfig)
     redeclared = set(SearchConfig.__annotations__) & {
         f.name for f in fields(TrainConfig)}
-    assert redeclared == {"epochs", "weight_decay", "schedule"}
+    assert redeclared == {"epochs", "weight_decay"}
     cfg = SearchConfig()
-    assert cfg.schedule is Schedule.COSINE
-    with pytest.raises(TypeError):
-        SearchConfig(schedule=Schedule.CONSTANT)
     assert (cfg.epochs, cfg.weight_decay, cfg.momentum) == (20, 3e-4, 0.9)
     with pytest.raises(ValueError, match="lr_init must be positive"):
         SearchConfig(lr_init=0.0)

@@ -7,7 +7,6 @@ from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.experiments import SmallCNN
 from orbiconv.train import (
     NumericalError,
-    Schedule,
     TrainConfig,
     TrainReport,
     evaluate,
@@ -32,11 +31,6 @@ def test_lr_schedule_warmup():
     assert lr_at(cfg, 0) == pytest.approx(0.025)
     assert lr_at(cfg, 3) == pytest.approx(0.1)
     assert lr_at(cfg, 4) == pytest.approx(0.1)  # cosine at progress 0
-
-
-def test_lr_schedule_constant():
-    cfg = TrainConfig(epochs=5, lr_init=0.2, schedule=Schedule.CONSTANT)
-    assert all(lr_at(cfg, e) == 0.2 for e in range(5))
 
 
 def test_config_validation():

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import direct_bilinear_at
+from conftest import (
+    direct_bilinear_at,
+    reference_reparameterize,
+    reference_resample_patch,
+)
 from orbiconv.geometry import SamplePoint, circular_points, square_points
 from orbiconv.layers import conv2d, extract_patches
 from orbiconv.autodiff import Var
@@ -206,3 +212,34 @@ def test_equivalence_identity_conv(k):
         patches = extract_patches(img, k, 1, 0, 1)[0, 0]
         out2 = (w.reshape(-1) @ resample_patch(patches.T, b).T).reshape(out1.shape)
         assert np.abs(out1 - out2).max() < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from([1, 3, 5, 7, 9]), d=st.integers(1, 3),
+       lead=st.sampled_from([(), (3, 1), (4, 2)]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+def test_b_product_matches_reference_bytes(k, d, lead, dtype, seed):
+    """B^T w and B p give the per-nonzero loops' bytes, over shapes (),
+    (C, 1) and (Cout, Cin), with negative values and -0.0 in the input.
+    Identity transforms return the input itself, and integer input raises
+    a ufunc casting error as the loops do."""
+    b = build_transform(circular_points(k, d))
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(lead + (k * k,))
+         * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+    x[..., rng.integers(k * k)] = -0.0
+    pairs = ((reparameterize, reference_reparameterize),
+             (resample_patch, reference_resample_patch))
+    for product, reference in pairs:
+        got, ref = product(x, b), reference(x, b)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert (got is x) == (ref is x) == b.is_identity()
+        ints = np.arange(k * k)
+        if b.is_identity():
+            assert product(ints, b) is ints
+            continue
+        for fn in (product, reference):
+            with pytest.raises(TypeError, match="Cannot cast ufunc"):
+                fn(ints, b)
