@@ -78,12 +78,13 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    tcfg, model, train_ds, test_ds = train_setup(cfg)
+    setup = train_setup(cfg)
     out_dir = make_output_dir(cfg)
-    report = train(model, train_ds, test_ds, tcfg)
+    model, train_ds, test_ds = setup.build()
+    report = train(model, train_ds, test_ds, setup.train)
     path = os.path.join(out_dir, "train_report.csv")
     _write(path, report.to_csv())
-    write_manifest(out_dir, cfg, tcfg.seed, [path])
+    write_manifest(out_dir, cfg, setup.train.seed, [path])
     print(f"final test error: {report.test_err[-1]:.4f}")
     return 0
 
@@ -102,18 +103,19 @@ def _cmd_compare(args) -> int:
 
 def _cmd_robustness(args) -> int:
     cfg = load_config(args.config)
-    tcfg, model, train_ds, test_ds = train_setup(cfg)
+    setup = train_setup(cfg)
     sweep = from_config(RobustnessSweep(), cfg, "robustness",
                         ("mode", "trials", "seed"))
     sweep = replace(sweep, angle_ranges=cfg.value("robustness.angles",
                                                   sweep.angle_ranges))
     out_dir = make_output_dir(cfg)
-    report = train(model, train_ds, test_ds, tcfg)
+    model, train_ds, test_ds = setup.build()
+    report = train(model, train_ds, test_ds, setup.train)
     rows = robustness_eval(model, test_ds, sweep)
     path = os.path.join(out_dir, "robustness.csv")
     _write(path, robustness_csv(rows))
-    write_manifest(out_dir, cfg, {"train": tcfg.seed, "sweep": sweep.seed},
-                   [path])
+    seeds = {"train": setup.train.seed, "sweep": sweep.seed}
+    write_manifest(out_dir, cfg, seeds, [path])
     print(f"wrote {path} (final train err trace: {report.test_err[-1]:.4f})")
     return 0
 

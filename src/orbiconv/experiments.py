@@ -363,15 +363,35 @@ def compare_config(cfg: Config) -> CompareConfig:
     return from_config(ccfg, cfg, "compare", ("shapes", "kernel_sizes", "seeds"))
 
 
-def train_setup(cfg: Config) -> tuple[TrainConfig, SmallCNN, Dataset, Dataset]:
-    """TrainConfig, SmallCNN and train/test splits of a train config."""
-    tcfg = train_config(cfg)
-    train_ds, test_ds = data_config(cfg).splits(tcfg.seed)
-    model = SmallCNN(seed=tcfg.seed, num_classes=train_ds.num_classes,
-                     **_read_section(cfg, "model", ("kernel_size", "shape"),
-                                     SmallCNN.__init__.__kwdefaults__),
-                     **integrated_options(cfg))
-    return tcfg, model, train_ds, test_ds
+@dataclass
+class TrainSetup:
+    """What `train` and `robustness` run; `build` generates the data and
+    the model."""
+    train: TrainConfig
+    data: DataConfig
+    model: dict  # SmallCNN options but `seed` and `num_classes`
+
+    def __post_init__(self) -> None:
+        kernel_shape(self.model["shape"])
+        k = self.model["kernel_size"]
+        if k < 1 or k % 2 == 0:
+            raise ValueError(f"model.kernel_size must be odd and >= 1: {k}")
+
+    def build(self) -> tuple[SmallCNN, Dataset, Dataset]:
+        """SmallCNN and the train/test splits of the train seed."""
+        train_ds, test_ds = self.data.splits(self.train.seed)
+        model = SmallCNN(seed=self.train.seed,
+                         num_classes=train_ds.num_classes, **self.model)
+        return model, train_ds, test_ds
+
+
+def train_setup(cfg: Config) -> TrainSetup:
+    """`train.*`, `data.*`, `model.*` and `integrated.*` of a train config,
+    read and checked without generating any data."""
+    return TrainSetup(train_config(cfg), data_config(cfg),
+                      {**_read_section(cfg, "model", ("kernel_size", "shape"),
+                                       SmallCNN.__init__.__kwdefaults__),
+                       **integrated_options(cfg)})
 
 
 def make_output_dir(cfg: Config) -> str:

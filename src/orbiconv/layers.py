@@ -3,15 +3,17 @@
 Every conv and pool reads the padded input through one strided view,
 `_tap_windows`: kernel slot (kr, kc) reads the pixel displaced by
 (row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
-flattening used by the geometry and transform modules. Only dense convs and
-pools copy the windows into im2col patches and add patch gradients back
-with col2im; col2im adds them slot by slot, in slot order, onto the window
-each slot read. Depthwise convs never build patches: the forward and the
-input gradient loop over the slots in order on the windows, and only the
-weight gradient gathers a copy, in the memory order a fancy-index gather
-returns, since einsum's summation order follows its operands' layouts.
-Those orders keep every value byte-identical to the fancy-index,
-scatter-add and einsum references kept in `tests/conftest.py`.
+flattening used by the geometry and transform modules. Dense convs copy the
+windows into a C-order (N, C*K*K, OH*OW) patch matrix and run as BLAS
+matmuls on it; their input gradient goes back through col2im, which adds it
+slot by slot, in slot order, onto the window each slot read. Pools copy the
+windows into im2col patches through `_gather`. Depthwise convs never build
+patches: the forward and the input gradient loop over the slots in order on
+the windows, and only the weight gradient gathers a copy through `_gather`.
+Pools and depthwise convs keep every byte of the fancy-index, scatter-add
+and einsum references in `tests/conftest.py`; dense convs match their
+einsum reference there to rounding, with bits that depend on neither the
+input's memory layout nor the BLAS thread count.
 
 Circular layers hold a TransformMatrix and re-parameterize their weights
 once per forward pass (effective kernel = B^T @ w); the backward pass maps
@@ -73,8 +75,9 @@ def _batch_order(a: np.ndarray) -> tuple[int, int]:
 def _gather(win: np.ndarray) -> np.ndarray:
     """Copy tap windows to (N, C, K*K, OH*OW) patches with the memory layout
     of a fancy-index gather: (K*K, OH*OW) outer, then N and C in the padded
-    input's order. einsum sums in an order that follows its operands'
-    layouts, so this layout keeps every bit of a conv."""
+    input's order. It serves the pools and the depthwise weight gradient:
+    einsum sums in an order that follows its operands' layouts, so this
+    layout keeps every bit of the depthwise einsum."""
     n, c, k, _, oh, ow = win.shape
     order = (2, 3, 4, 5) + _batch_order(win)
     cols = np.ascontiguousarray(win.transpose(order))
@@ -156,10 +159,13 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
             for slot in range(kk):
                 out += w_dw[:, slot] * win[:, :, slot // k, slot % k]
     else:
-        patches = extract_patches(x.data, k, stride, padding, dilation)
-        patches = patches.reshape(n, cin * kk, -1)  # a copy; bw reuses it
-        out = np.einsum("of,nfl->nol", w_eff.reshape(cout, cin * kk), patches)
-        out = out.reshape(n, cout, oh, ow)
+        # C-order (N, C*K*K, OH*OW) patch matrix, so the reshape is a view
+        # and every gemm operand is C-contiguous; the backward reuses it
+        w_mat = w_eff.reshape(cout, cin * kk)
+        patches = np.ascontiguousarray(_tap_windows(
+            _pad(x.data, padding), k, oh, ow, stride, dilation)).reshape(
+            n, cin * kk, -1)
+        out = (w_mat @ patches).reshape(n, cout, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
 
@@ -186,16 +192,14 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
                                  padding:padding + w])
         else:
             if weights.requires_grad:
-                g_eff = np.einsum("nol,nfl->of", gl, patches).reshape(
-                    cout, cin, kk)
+                g_eff = (gl @ patches.transpose(0, 2, 1)).sum(axis=0)
+                g_eff = g_eff.reshape(cout, cin, kk)
                 if transform is not None:
                     g_eff = transform_gradient_pushforward(g_eff, transform)
                 weights.accumulate(g_eff.reshape(weights.data.shape))
             if x.requires_grad:
-                gp = np.einsum("of,nol->nfl", w_eff.reshape(cout, cin * kk), gl)
-                x.accumulate(scatter_patches(gp.reshape(n, cin, kk, -1),
-                                             x.data.shape, k, stride, padding,
-                                             dilation))
+                x.accumulate(scatter_patches(w_mat.T @ gl, x.data.shape, k,
+                                             stride, padding, dilation))
 
     return Var(out, parents, bw)
 

@@ -216,3 +216,38 @@ def reference_conv2d(x, weights, *, stride: int = 1, padding: int = 0,
                                                    padding, dilation))
 
     return Var(out, (x, weights), bw)
+
+
+# The einsum dense convolution that `orbiconv.layers.conv2d` ran before its
+# matmul over a C-order patch matrix, kept as the slow reference.
+
+
+def reference_dense_conv2d(x, weights, *, stride: int = 1, padding: int = 0,
+                           dilation: int = 1, transform=None):
+    """Dense conv of Var `x` (N, C, H, W) with Var `weights`
+    (Cout, C, K, K) through einsums over im2col patches; returns a Var."""
+    n, c, h, w = x.data.shape
+    cout, _, k, _ = weights.data.shape
+    kk = k * k
+    w_flat = weights.data.reshape(cout, c, kk)
+    w_eff = (w_flat if transform is None
+             else reparameterize(w_flat, transform)).reshape(cout, c * kk)
+    oh = _out_size(h, k, stride, padding, dilation)
+    ow = _out_size(w, k, stride, padding, dilation)
+    patches = reference_extract_patches(x.data, k, stride, padding, dilation)
+    patches = patches.reshape(n, c * kk, -1)
+    out = np.einsum("of,nfl->nol", w_eff, patches).reshape(n, cout, oh, ow)
+
+    def bw(g):
+        gl = g.reshape(n, cout, -1)
+        if weights.requires_grad:
+            g_eff = np.einsum("nol,nfl->of", gl, patches).reshape(cout, c, kk)
+            if transform is not None:
+                g_eff = transform_gradient_pushforward(g_eff, transform)
+            weights.accumulate(g_eff.reshape(weights.data.shape))
+        if x.requires_grad:
+            gp = np.einsum("of,nol->nfl", w_eff, gl).reshape(n, c, kk, -1)
+            x.accumulate(reference_scatter_patches(gp, x.data.shape, k, stride,
+                                                   padding, dilation))
+
+    return Var(out, (x, weights), bw)

@@ -197,8 +197,11 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("search", "search.batch_size = 0", "batch_size must be at least 1"),
     ("search", "search.channels = 0", "channels must be at least 1"),
     ("search", "search.num_nodes = 2", "num_nodes must be at least 3"),
+    ("train", "model.kernel_size = 4", "kernel_size must be odd"),
+    ("robustness", "model.shape = hexagon", "unknown kernel shape"),
 ], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
-        "search-channels-0", "search-nodes-2"])
+        "search-channels-0", "search-nodes-2", "train-even-kernel",
+        "robustness-unknown-shape"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):
     """A value out of its field's range exits 2 naming the field, before
@@ -236,6 +239,21 @@ def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, command,
     assert main(argv) == 2
     assert f"unknown config key(s): {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "robustness"])
+def test_out_dir_is_checked_before_any_data(tmp_path, capsys, monkeypatch,
+                                            command):
+    """An `out.dir` that is a file exits 2 before any data is generated."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before checking out.dir")
+
+    monkeypatch.setattr(experiments, "gen_synthetic", must_not_run)
+    (tmp_path / "file").write_text("")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data.n_per_class = 2000\nout.dir = {tmp_path / 'file'}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("cannot write output: ")
 
 
 @pytest.mark.parametrize("argv, path", [

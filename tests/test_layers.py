@@ -7,6 +7,7 @@ from conftest import (
     direct_circular_conv,
     direct_square_conv,
     reference_conv2d,
+    reference_dense_conv2d,
     reference_extract_patches,
     reference_scatter_patches,
 )
@@ -291,3 +292,74 @@ def test_depthwise_conv_matches_reference_bytes(n, c, h, w, k, stride, dil,
     for a, b in zip(ref, got):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def _conv_and_grads(conv, x_data, w_data, seed, absolute=False, **kwargs):
+    """(output, weight gradient, input gradient) of one conv call, backward
+    seeded with a fixed random gradient; the error message if it raises.
+    With `absolute`, the input, the weights and that gradient are |.|."""
+    f = np.abs if absolute else np.asarray
+    x, wt = Var(f(x_data).copy(order="K")), Var(f(w_data).copy())
+    try:
+        out = conv(x, wt, **kwargs)
+    except ValueError as err:
+        return str(err)
+    g = np.random.default_rng(seed).standard_normal(out.data.shape)
+    out.backward(f(g).astype(out.data.dtype))
+    return out.data, wt.grad, x.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 4),
+       h=st.integers(1, 12), w=st.integers(1, 12),
+       k=st.sampled_from([1, 3, 5, 7]), stride=st.integers(1, 3),
+       dil=st.integers(1, 3), pad=st.integers(0, 4),
+       dtypes=st.sampled_from([(np.float32, np.float32),
+                               (np.float64, np.float64),
+                               (np.float64, np.float32)]),
+       circular=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=2, cin=3, cout=2, h=4, w=5, k=1, stride=1, dil=1, pad=2,
+         dtypes=(np.float32, np.float32), circular=False,
+         seed=3)  # K = 1 with padding
+@example(n=1, cin=1, cout=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
+         dtypes=(np.float64, np.float32), circular=True,
+         seed=4)  # one output element, float64 input on float32 weights
+@example(n=2, cin=3, cout=4, h=12, w=11, k=3, stride=2, dil=3, pad=4,
+         dtypes=(np.float32, np.float32), circular=True,
+         seed=5)  # stride and dilation both above 1
+@example(n=1, cin=2, cout=2, h=2, w=9, k=3, stride=1, dil=1, pad=0,
+         dtypes=(np.float64, np.float64), circular=False,
+         seed=6)  # zero output rows
+def test_dense_conv_matches_einsum_reference(n, cin, cout, h, w, k, stride,
+                                             dil, pad, dtypes, circular, seed):
+    """The matmul dense conv agrees with the einsum reference on the output,
+    the weight gradient and the input gradient, to a rounding error bounded
+    by the same sums over absolute values; its bytes do not depend on the
+    input's memory layout."""
+    rng = np.random.default_rng(seed)
+    x_dtype, w_dtype = dtypes
+    x_data = rng.standard_normal((n, cin, h, w)).astype(x_dtype)
+    w_data = rng.standard_normal((cout, cin, k, k)).astype(w_dtype)
+    transform = (build_transform(circular_points(k, dil))
+                 if circular and k > 1 else None)
+    kwargs = dict(stride=stride, padding=pad, dilation=dil, transform=transform)
+    ref = _conv_and_grads(reference_dense_conv2d, x_data, w_data, seed + 1,
+                          **kwargs)
+    got = _conv_and_grads(conv2d, x_data, w_data, seed + 1, bias=None,
+                          **kwargs)
+    if isinstance(ref, str):
+        assert got == ref and "zero-sized output" in ref
+        return
+    # each value's rounding error is within a few ulps of the sum of the
+    # absolute values of its terms, which the reference gives on |x|, |w|
+    # and |g| (B has nonnegative entries, so |B^T w| <= B^T |w|)
+    bound = _conv_and_grads(reference_dense_conv2d, x_data, w_data, seed + 1,
+                            absolute=True, **kwargs)
+    for a, b, c in zip(ref, got, bound):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        rtol = 1e-5 if b.dtype == np.float32 else 1e-12
+        assert np.all(np.abs(b - a) <= rtol * np.abs(c))
+    for layout in ("hwnc", "chwn"):
+        other = _conv_and_grads(conv2d, _laid_out(x_data, layout), w_data,
+                                seed + 1, bias=None, **kwargs)
+        assert [a.tobytes() for a in other] == [b.tobytes() for b in got]

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbiconv
 from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.experiments import SmallCNN
 from orbiconv.train import (
@@ -102,3 +107,34 @@ def test_evaluate_counts_errors():
             return Var(logits, requires_grad=False)
 
     assert evaluate(Fixed(), ds) == 0.5
+
+
+_TRAIN_AND_HASH = """
+import hashlib
+from orbiconv.data import SynthKind, gen_synthetic
+from orbiconv.experiments import SmallCNN
+from orbiconv.train import TrainConfig, train
+
+ds = gen_synthetic(SynthKind.RING_VS_CROSS, 32, 16, 0)
+model = SmallCNN(kernel_size=5, shape="integrated", channels=(32, 64), seed=0)
+train(model, ds, ds, TrainConfig(epochs=2, batch_size=64))
+params = b"".join(p.data.tobytes() for p in model.params())
+print(hashlib.sha256(params).hexdigest())
+"""
+
+
+def test_training_bytes_do_not_depend_on_blas_threads():
+    """A dense-conv training gives the same final weights with one and two
+    BLAS threads. Its second block's gemms (64 x 800 by 800 x 64 per image)
+    are large enough for OpenBLAS to split them across threads."""
+    src = str(Path(orbiconv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _TRAIN_AND_HASH], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
