@@ -3,17 +3,21 @@
 Every conv and pool reads the padded input through one strided view,
 `_tap_windows`: kernel slot (kr, kc) reads the pixel displaced by
 (row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
-flattening used by the geometry and transform modules. Dense convs copy the
-windows into a C-order (N, C*K*K, OH*OW) patch matrix and run as BLAS
-matmuls on it; their input gradient goes back through col2im, which adds it
-slot by slot, in slot order, onto the window each slot read. Pools copy the
-windows into im2col patches through `_gather`. Depthwise convs never build
-patches: the forward and the input gradient loop over the slots in order on
-the windows, and only the weight gradient gathers a copy through `_gather`.
-Pools and depthwise convs keep every byte of the fancy-index, scatter-add
-and einsum references in `tests/conftest.py`; dense convs match their
-einsum reference there to rounding, with bits that depend on neither the
-input's memory layout nor the BLAS thread count.
+flattening used by the geometry and transform modules. Patches have one
+memory layout, a C-order (N, C, K*K, OH*OW) copy of that view
+(`_patch_matrix`). Pools and dense convs read them through `extract_patches`;
+dense convs run as BLAS matmuls on them. Col2im adds a patch gradient slot by
+slot, in slot order, onto the window each slot read. Depthwise convs build
+patches only for the weight gradient: the forward and the input gradient
+loop over the slots in order on the windows.
+
+Against the fancy-index, scatter-add and einsum references in
+`tests/conftest.py`: pools keep every byte, except an avg pool forward with
+one output pixel per channel (numpy then sums a patch's slots pairwise);
+depthwise convs keep the bytes of the output and the input gradient, except
+on a one-element output; the depthwise weight gradient and dense convs match
+to rounding. No bit depends on the input's memory layout, nor on the BLAS
+thread count.
 
 Circular layers hold a TransformMatrix and re-parameterize their weights
 once per forward pass (effective kernel = B^T @ w); the backward pass maps
@@ -67,29 +71,20 @@ def _tap_windows(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
                       writeable=writeable)
 
 
-def _batch_order(a: np.ndarray) -> tuple[int, int]:
-    """Axes 0 (N) and 1 (C) of `a`, outer one first in memory."""
-    return (0, 1) if a.strides[0] >= a.strides[1] else (1, 0)
-
-
-def _gather(win: np.ndarray) -> np.ndarray:
-    """Copy tap windows to (N, C, K*K, OH*OW) patches with the memory layout
-    of a fancy-index gather: (K*K, OH*OW) outer, then N and C in the padded
-    input's order. It serves the pools and the depthwise weight gradient:
-    einsum sums in an order that follows its operands' layouts, so this
-    layout keeps every bit of the depthwise einsum."""
-    n, c, k, _, oh, ow = win.shape
-    order = (2, 3, 4, 5) + _batch_order(win)
-    cols = np.ascontiguousarray(win.transpose(order))
-    return cols.transpose(np.argsort(order)).reshape(n, c, k * k, oh * ow)
+def _patch_matrix(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
+                  dil: int) -> np.ndarray:
+    """C-order (N, C, K*K, OH*OW) copy of a padded input's tap windows: the
+    one memory layout every conv and pool reads its patches in."""
+    n, c = xp.shape[:2]
+    return np.ascontiguousarray(_tap_windows(xp, k, oh, ow, stride, dil)
+                                ).reshape(n, c, k * k, oh * ow)
 
 
 def extract_patches(x: np.ndarray, k: int, stride: int, pad: int, dil: int,
                     pad_value: float = 0.0) -> np.ndarray:
-    """(N, C, H, W) -> (N, C, K*K, OH*OW) row-major kernel patches."""
+    """(N, C, H, W) -> C-order (N, C, K*K, OH*OW) row-major kernel patches."""
     oh, ow = _out_shape(*x.shape[2:], k, stride, pad, dil)
-    return _gather(_tap_windows(_pad(x, pad, pad_value), k, oh, ow, stride,
-                                dil))
+    return _patch_matrix(_pad(x, pad, pad_value), k, oh, ow, stride, dil)
 
 
 def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
@@ -137,34 +132,19 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
 
     oh, ow = _out_shape(h, w, k, stride, padding, dilation)
     if depthwise:
-        # tap loop over strided windows: the slot order and the zero start
-        # give the bytes of einsum("ck,nckl->ncl") over im2col patches, and
-        # `out` takes that einsum's memory layout: (OH, OW) outer when K = 1
-        # or C = 1, else C order, or (C, OH, OW, N) when N is the input's
-        # inner batch axis. The gradient inherits the layout, and the
-        # weight-gradient einsum sums in an order that follows it.
+        # tap loop over strided windows, slots in order from a zero start
         xp = _pad(x.data, padding)
         win = _tap_windows(xp, k, oh, ow, stride, dilation)
         w_dw = w_eff.reshape(c, kk, 1, 1)
-        if n * c * oh * ow == 1:
-            # a one-element einsum is numpy's dot kernel, which sums in lanes
-            out = np.einsum("ck,nckl->ncl", w_dw.reshape(c, kk), _gather(win))
-            out = out.reshape(n, c, oh, ow)
-        else:
-            order = _batch_order(xp)
-            order = ((2, 3) + order if k == 1 or c == 1 else
-                     (0, 1, 2, 3) if order == (0, 1) else (1, 2, 3, 0))
-            out = np.zeros([(n, c, oh, ow)[a] for a in order],
-                           np.result_type(w_dw, xp)).transpose(np.argsort(order))
-            for slot in range(kk):
-                out += w_dw[:, slot] * win[:, :, slot // k, slot % k]
+        out = np.zeros((n, c, oh, ow), np.result_type(w_dw, xp))
+        for slot in range(kk):
+            out += w_dw[:, slot] * win[:, :, slot // k, slot % k]
     else:
-        # C-order (N, C*K*K, OH*OW) patch matrix, so the reshape is a view
-        # and every gemm operand is C-contiguous; the backward reuses it
+        # the C-order patch matrix reshapes to (N, C*K*K, OH*OW) as a view,
+        # so every gemm operand is C-contiguous; the backward reuses it
         w_mat = w_eff.reshape(cout, cin * kk)
-        patches = np.ascontiguousarray(_tap_windows(
-            _pad(x.data, padding), k, oh, ow, stride, dilation)).reshape(
-            n, cin * kk, -1)
+        patches = extract_patches(x.data, k, stride, padding,
+                                  dilation).reshape(n, cin * kk, -1)
         out = (w_mat @ patches).reshape(n, cout, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
@@ -177,7 +157,7 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
             bias.accumulate(gl.sum(axis=(0, 2)))
         if depthwise:
             if weights.requires_grad:
-                cols = _gather(_tap_windows(xp, k, oh, ow, stride, dilation))
+                cols = _patch_matrix(xp, k, oh, ow, stride, dilation)
                 g_eff = np.einsum("ncl,nckl->ck", gl, cols).reshape(c, 1, kk)
                 if transform is not None:
                     g_eff = transform_gradient_pushforward(g_eff, transform)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Var, add, frozen, relu, softmax_vec, weighted_sum
+from .autodiff import Var, add, concat, frozen, relu, softmax_vec, weighted_sum
 from .data import Dataset
 from .geometry import Mode
 from .layers import (
@@ -74,7 +74,7 @@ class Zero(Module):
 
     def forward(self, x: Var) -> Var:
         s = self.stride
-        return Var(np.zeros_like(x.data[:, :, ::s, ::s]), (x,), None)
+        return Var(np.zeros_like(x.data[:, :, ::s, ::s]), requires_grad=False)
 
 
 class Pool(Module):
@@ -176,7 +176,6 @@ class SearchCell(Module):
         self.combine_affine = ChannelAffine(c, dtype=dtype)
 
     def forward_cell(self, s0: Var, s1: Var, alphas: list[Var]) -> Var:
-        from .autodiff import concat
         states = [s0, s1]
         for j in range(2, self.num_nodes):
             acc = None

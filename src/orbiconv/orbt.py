@@ -6,6 +6,7 @@ extents, then the row-major payload in little-endian byte order.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -49,7 +50,7 @@ def load_tensor(path: str) -> np.ndarray:
             raise OrbtFormatError(f"{path}: unknown dtype code {code}")
         dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, path))
         dtype = _DTYPE_CODES[code]
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)
         payload = f.read()
     if len(payload) != n * dtype.itemsize:
         raise OrbtFormatError(f"{path}: truncated payload")

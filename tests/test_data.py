@@ -159,3 +159,13 @@ def test_orbt_bad_magic_and_truncation(tmp_path):
         cut.write_bytes(good.read_bytes()[:end])
         with pytest.raises(OrbtFormatError, match="truncated"):
             load_tensor(str(cut))
+
+
+def test_orbt_huge_extents_do_not_wrap(tmp_path):
+    # four 65536 extents make 2**64 elements, which wraps to 0 in int64 and
+    # would pass an empty payload
+    p = tmp_path / "huge.orbt"
+    p.write_bytes(b"ORBT" + struct.pack("<BB4I", 0, 4, *[65536] * 4))
+    assert p.stat().st_size == 22
+    with pytest.raises(OrbtFormatError, match="truncated payload"):
+        load_tensor(str(p))

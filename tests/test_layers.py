@@ -206,8 +206,8 @@ def _laid_out(x, layout):
 def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
                                               dtype, layout, seed):
     """im2col and col2im give the reference's bytes, raise where it raises,
-    and are adjoint: <extract(x), g> = <x, scatter(g)>. im2col also keeps
-    the reference's memory layout, which sets the dense einsums' bits."""
+    and are adjoint: <extract(x), g> = <x, scatter(g)>. im2col returns C-order
+    patches, whatever the input's memory layout."""
     rng = np.random.default_rng(seed)
     x = _laid_out(rng.standard_normal((n, c, h, w)).astype(dtype), layout)
     args = (k, stride, pad, dil)
@@ -226,8 +226,7 @@ def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
         assert got.shape == ref.shape
         assert got.tobytes() == reference_extract_patches(
             x, *args, pad_value).tobytes()
-        assert [s for s, m in zip(got.strides, got.shape) if m > 1] == [
-            s for s, m in zip(ref.strides, ref.shape) if m > 1]
+        assert got.flags.c_contiguous
     g = rng.standard_normal(ref.shape).astype(dtype)
     gx = scatter_patches(g, x.shape, *args)
     assert gx.shape == x.shape and gx.dtype == dtype
@@ -237,61 +236,74 @@ def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
         assert abs(lhs - rhs) <= 1e-12 * max(np.sum(np.abs(ref * g)), 1e-300)
 
 
+def _reference_pool(kind, x, g, k, stride, pad):
+    """(output, input gradient) of a max or avg pool over the fancy-index
+    im2col and scatter-add col2im references, for the output gradient g."""
+    n, c = x.shape[:2]
+    if kind == "max":
+        p = reference_extract_patches(x, k, stride, pad, 1, -np.inf)
+        arg = p.argmax(axis=2)[:, :, None, :]
+        out = np.take_along_axis(p, arg, axis=2)[:, :, 0, :]
+        gp = np.zeros_like(p)
+        np.put_along_axis(gp, arg, g.reshape(n, c, 1, -1), axis=2)
+    else:
+        p = reference_extract_patches(x, k, stride, pad, 1)
+        out = p.mean(axis=2)
+        gp = np.broadcast_to(g.reshape(n, c, 1, -1) / (k * k), p.shape)
+    return (out.reshape(g.shape),
+            reference_scatter_patches(gp, x.shape, k, stride, pad, 1))
+
+
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 12),
-       w=st.integers(1, 12), k=st.sampled_from([1, 3, 5, 7]),
-       stride=st.integers(1, 3), dil=st.integers(1, 3), pad=st.integers(0, 4),
-       dtypes=st.sampled_from([(np.float32, np.float32),
-                               (np.float64, np.float64),
-                               (np.float64, np.float32)]),
-       circular=st.booleans(), layout=st.sampled_from(list(_LAYOUTS)),
+@given(kind=st.sampled_from(["max", "avg"]), n=st.integers(1, 3),
+       c=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
+       k=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3),
+       pad=st.integers(0, 3), dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2**32 - 1))
-@example(n=2, c=3, h=4, w=5, k=1, stride=1, dil=1, pad=2,
-         dtypes=(np.float32, np.float32), circular=False, layout="nchw",
-         seed=3)  # K = 1 with padding: borders must be +0.0, as in einsum
-@example(n=1, c=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
-         dtypes=(np.float64, np.float32), circular=True, layout="nchw",
-         seed=4)  # one output element, float64 input on float32 weights
-@example(n=2, c=3, h=12, w=11, k=3, stride=2, dil=3, pad=4,
-         dtypes=(np.float32, np.float32), circular=True, layout="nchw",
-         seed=5)  # stride and dilation both above 1
-@example(n=3, c=2, h=7, w=6, k=3, stride=1, dil=1, pad=0,
-         dtypes=(np.float32, np.float32), circular=False, layout="chwn",
-         seed=6)  # unpadded input with the batch innermost
-def test_depthwise_conv_matches_reference_bytes(n, c, h, w, k, stride, dil,
-                                                pad, dtypes, circular, layout,
-                                                seed):
-    """The tap-loop depthwise conv gives the im2col reference's bytes for
-    the output, the weight gradient and the input gradient."""
+@example(kind="avg", n=2, c=3, h=3, w=3, k=3, stride=1, pad=0,
+         dtype=np.float32, seed=0)  # one output pixel per channel
+@example(kind="max", n=1, c=2, h=4, w=4, k=3, stride=1, pad=1,
+         dtype=np.float64, seed=1)  # ties, and -inf borders
+def test_pools_match_reference_bytes(kind, n, c, h, w, k, stride, pad, dtype,
+                                     seed):
+    """max_pool2d and avg_pool2d give, forward and backward, the bytes of the
+    same ops over the fancy-index im2col and scatter-add col2im references,
+    whatever the input's memory layout. The one exception is an avg pool
+    forward with one output pixel per channel: numpy sums the K*K slots of
+    C-order patches pairwise there, and the references in slot order, so
+    the two agree to rounding."""
     rng = np.random.default_rng(seed)
-    x_dtype, w_dtype = dtypes
-    x_data = _laid_out(rng.standard_normal((n, c, h, w)).astype(x_dtype),
-                       layout)
-    w_data = -np.abs(rng.standard_normal((c, 1, k, k))).astype(w_dtype)
-    w_data[::2] *= -1  # negative weights on odd channels
-    transform = (build_transform(circular_points(k, dil))
-                 if circular and k > 1 else None)
-    kwargs = dict(stride=stride, padding=pad, dilation=dil, transform=transform)
-    runs = []
-    for conv in (reference_conv2d, conv2d):
-        x, wt = Var(x_data.copy(order="K")), Var(w_data.copy())
-        try:
-            out = (conv(x, wt, **kwargs) if conv is reference_conv2d
-                   else conv(x, wt, None, depthwise=True, **kwargs))
-        except ValueError as err:
-            runs.append(str(err))
-            continue
-        g = np.random.default_rng(seed + 1).standard_normal(
-            out.data.shape).astype(out.data.dtype)
-        out.backward(g)
-        runs.append((out.data, wt.grad, x.grad))
-    ref, got = runs
-    if isinstance(ref, str):
-        assert got == ref and "zero-sized output" in ref
+    x_data = rng.standard_normal((n, c, h, w)).astype(dtype)
+    if seed % 2:
+        x_data = np.round(x_data)  # ties: max pool picks the first slot
+    pool = max_pool2d if kind == "max" else avg_pool2d
+    try:
+        out_shape = pool(Var(x_data), k, stride, pad).data.shape
+    except ValueError as err:
+        assert "zero-sized output" in str(err)
+        with pytest.raises(ValueError, match="zero-sized output"):
+            _reference_pool(kind, x_data, np.zeros((n, c, 1, 1), dtype), k,
+                            stride, pad)
         return
-    for a, b in zip(ref, got):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    g = rng.standard_normal(out_shape).astype(dtype)
+    runs = []
+    for layout in _LAYOUTS:
+        xl = _laid_out(x_data, layout)
+        x = Var(xl.copy(order="K"))
+        out = pool(x, k, stride, pad)
+        out.backward(g)
+        runs.append([out.data.tobytes(), x.grad.tobytes()])
+        ref = _reference_pool(kind, xl, g, k, stride, pad)
+        for a, b in zip(ref, (out.data, x.grad)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+        assert ref[1].tobytes() == x.grad.tobytes()
+        if kind == "avg" and out_shape[2] * out_shape[3] == 1:
+            bound = _reference_pool(kind, np.abs(xl), g, k, stride, pad)[0]
+            rtol = 1e-5 if dtype == np.float32 else 1e-12
+            assert np.all(np.abs(out.data - ref[0]) <= rtol * bound)
+        else:
+            assert ref[0].tobytes() == out.data.tobytes()
+    assert runs[1:] == runs[:1] * 2
 
 
 def _conv_and_grads(conv, x_data, w_data, seed, absolute=False, **kwargs):
@@ -309,7 +321,7 @@ def _conv_and_grads(conv, x_data, w_data, seed, absolute=False, **kwargs):
     return out.data, wt.grad, x.grad
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(n=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 4),
        h=st.integers(1, 12), w=st.integers(1, 12),
        k=st.sampled_from([1, 3, 5, 7]), stride=st.integers(1, 3),
@@ -317,49 +329,73 @@ def _conv_and_grads(conv, x_data, w_data, seed, absolute=False, **kwargs):
        dtypes=st.sampled_from([(np.float32, np.float32),
                                (np.float64, np.float64),
                                (np.float64, np.float32)]),
-       circular=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       circular=st.booleans(), depthwise=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 @example(n=2, cin=3, cout=2, h=4, w=5, k=1, stride=1, dil=1, pad=2,
-         dtypes=(np.float32, np.float32), circular=False,
+         dtypes=(np.float32, np.float32), circular=False, depthwise=False,
          seed=3)  # K = 1 with padding
 @example(n=1, cin=1, cout=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
-         dtypes=(np.float64, np.float32), circular=True,
+         dtypes=(np.float64, np.float32), circular=True, depthwise=False,
          seed=4)  # one output element, float64 input on float32 weights
 @example(n=2, cin=3, cout=4, h=12, w=11, k=3, stride=2, dil=3, pad=4,
-         dtypes=(np.float32, np.float32), circular=True,
+         dtypes=(np.float32, np.float32), circular=True, depthwise=False,
          seed=5)  # stride and dilation both above 1
 @example(n=1, cin=2, cout=2, h=2, w=9, k=3, stride=1, dil=1, pad=0,
-         dtypes=(np.float64, np.float64), circular=False,
+         dtypes=(np.float64, np.float64), circular=False, depthwise=False,
          seed=6)  # zero output rows
+@example(n=2, cin=3, cout=3, h=4, w=5, k=1, stride=1, dil=1, pad=2,
+         dtypes=(np.float32, np.float32), circular=False, depthwise=True,
+         seed=3)  # K = 1 with padding: borders must be +0.0, as in einsum
+@example(n=1, cin=1, cout=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
+         dtypes=(np.float64, np.float32), circular=True, depthwise=True,
+         seed=4)  # one output element, float64 input on float32 weights
+@example(n=2, cin=3, cout=3, h=12, w=11, k=3, stride=2, dil=3, pad=4,
+         dtypes=(np.float32, np.float32), circular=True, depthwise=True,
+         seed=5)  # stride and dilation both above 1
+@example(n=3, cin=2, cout=2, h=7, w=6, k=3, stride=1, dil=1, pad=0,
+         dtypes=(np.float32, np.float32), circular=False, depthwise=True,
+         seed=6)  # unpadded input, checked with the batch innermost too
 def test_dense_conv_matches_einsum_reference(n, cin, cout, h, w, k, stride,
-                                             dil, pad, dtypes, circular, seed):
-    """The matmul dense conv agrees with the einsum reference on the output,
-    the weight gradient and the input gradient, to a rounding error bounded
-    by the same sums over absolute values; its bytes do not depend on the
-    input's memory layout."""
+                                             dil, pad, dtypes, circular,
+                                             depthwise, seed):
+    """Dense and depthwise convs agree with their einsum references on the
+    output, the weight gradient and the input gradient, to a rounding error
+    bounded by the same sums over absolute values. A depthwise conv with more
+    than one output element gives its reference's bytes for the output and
+    the input gradient. No conv's bytes depend on the input's memory
+    layout."""
     rng = np.random.default_rng(seed)
     x_dtype, w_dtype = dtypes
+    if depthwise:
+        cout = cin
     x_data = rng.standard_normal((n, cin, h, w)).astype(x_dtype)
-    w_data = rng.standard_normal((cout, cin, k, k)).astype(w_dtype)
+    w_data = rng.standard_normal(
+        (cout, 1 if depthwise else cin, k, k)).astype(w_dtype)
     transform = (build_transform(circular_points(k, dil))
                  if circular and k > 1 else None)
     kwargs = dict(stride=stride, padding=pad, dilation=dil, transform=transform)
-    ref = _conv_and_grads(reference_dense_conv2d, x_data, w_data, seed + 1,
-                          **kwargs)
+    reference = reference_conv2d if depthwise else reference_dense_conv2d
+    ref = _conv_and_grads(reference, x_data, w_data, seed + 1, **kwargs)
     got = _conv_and_grads(conv2d, x_data, w_data, seed + 1, bias=None,
-                          **kwargs)
+                          depthwise=depthwise, **kwargs)
     if isinstance(ref, str):
         assert got == ref and "zero-sized output" in ref
         return
     # each value's rounding error is within a few ulps of the sum of the
     # absolute values of its terms, which the reference gives on |x|, |w|
     # and |g| (B has nonnegative entries, so |B^T w| <= B^T |w|)
-    bound = _conv_and_grads(reference_dense_conv2d, x_data, w_data, seed + 1,
+    bound = _conv_and_grads(reference, x_data, w_data, seed + 1,
                             absolute=True, **kwargs)
     for a, b, c in zip(ref, got, bound):
         assert a.dtype == b.dtype and a.shape == b.shape
         rtol = 1e-5 if b.dtype == np.float32 else 1e-12
         assert np.all(np.abs(b - a) <= rtol * np.abs(c))
+    if depthwise and got[0].size > 1:
+        # the tap loop sums the slots in einsum's order, from a zero start
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[2].tobytes() == ref[2].tobytes()
     for layout in ("hwnc", "chwn"):
         other = _conv_and_grads(conv2d, _laid_out(x_data, layout), w_data,
-                                seed + 1, bias=None, **kwargs)
+                                seed + 1, bias=None, depthwise=depthwise,
+                                **kwargs)
         assert [a.tobytes() for a in other] == [b.tobytes() for b in got]

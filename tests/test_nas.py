@@ -67,6 +67,15 @@ def test_identity_and_zero_ops():
     assert np.array_equal(Identity(2)(x).data, x.data[:, :, ::2, ::2])
 
 
+def test_zero_op_keeps_no_parent():
+    """The zero op's output is a constant: no backward reaches x through it,
+    so it keeps no parent and needs no gradient buffer."""
+    x = Var(np.ones((2, 3, 4, 4)))
+    for stride in (1, 2):
+        out = Zero(stride)(x)
+        assert out.parents == () and not out.requires_grad
+
+
 def test_mixed_op_identity_zero_balanced():
     # equal logits over {identity, zero} pass x/2 through
     x = _const(np.random.default_rng(2).standard_normal((1, 3, 4, 4)))
