@@ -321,53 +321,14 @@ def _conv_and_grads(conv, x_data, w_data, seed, absolute=False, **kwargs):
     return out.data, wt.grad, x.grad
 
 
-@settings(max_examples=600, deadline=None)
-@given(n=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 4),
-       h=st.integers(1, 12), w=st.integers(1, 12),
-       k=st.sampled_from([1, 3, 5, 7]), stride=st.integers(1, 3),
-       dil=st.integers(1, 3), pad=st.integers(0, 4),
-       dtypes=st.sampled_from([(np.float32, np.float32),
-                               (np.float64, np.float64),
-                               (np.float64, np.float32)]),
-       circular=st.booleans(), depthwise=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=2, cin=3, cout=2, h=4, w=5, k=1, stride=1, dil=1, pad=2,
-         dtypes=(np.float32, np.float32), circular=False, depthwise=False,
-         seed=3)  # K = 1 with padding
-@example(n=1, cin=1, cout=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
-         dtypes=(np.float64, np.float32), circular=True, depthwise=False,
-         seed=4)  # one output element, float64 input on float32 weights
-@example(n=2, cin=3, cout=4, h=12, w=11, k=3, stride=2, dil=3, pad=4,
-         dtypes=(np.float32, np.float32), circular=True, depthwise=False,
-         seed=5)  # stride and dilation both above 1
-@example(n=1, cin=2, cout=2, h=2, w=9, k=3, stride=1, dil=1, pad=0,
-         dtypes=(np.float64, np.float64), circular=False, depthwise=False,
-         seed=6)  # zero output rows
-@example(n=2, cin=3, cout=3, h=4, w=5, k=1, stride=1, dil=1, pad=2,
-         dtypes=(np.float32, np.float32), circular=False, depthwise=True,
-         seed=3)  # K = 1 with padding: borders must be +0.0, as in einsum
-@example(n=1, cin=1, cout=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
-         dtypes=(np.float64, np.float32), circular=True, depthwise=True,
-         seed=4)  # one output element, float64 input on float32 weights
-@example(n=2, cin=3, cout=3, h=12, w=11, k=3, stride=2, dil=3, pad=4,
-         dtypes=(np.float32, np.float32), circular=True, depthwise=True,
-         seed=5)  # stride and dilation both above 1
-@example(n=3, cin=2, cout=2, h=7, w=6, k=3, stride=1, dil=1, pad=0,
-         dtypes=(np.float32, np.float32), circular=False, depthwise=True,
-         seed=6)  # unpadded input, checked with the batch innermost too
-def test_dense_conv_matches_einsum_reference(n, cin, cout, h, w, k, stride,
-                                             dil, pad, dtypes, circular,
-                                             depthwise, seed):
-    """Dense and depthwise convs agree with their einsum references on the
-    output, the weight gradient and the input gradient, to a rounding error
-    bounded by the same sums over absolute values. A depthwise conv with more
-    than one output element gives its reference's bytes for the output and
-    the input gradient. No conv's bytes depend on the input's memory
-    layout."""
+def _check_conv(n, cin, cout, h, w, k, stride, dil, pad, dtypes, circular,
+                depthwise, seed):
+    """`conv2d` agrees with its einsum reference on the output, the weight
+    gradient and the input gradient, to a rounding error bounded by the same
+    sums over absolute values, and its bytes do not depend on the input's
+    memory layout."""
     rng = np.random.default_rng(seed)
     x_dtype, w_dtype = dtypes
-    if depthwise:
-        cout = cin
     x_data = rng.standard_normal((n, cin, h, w)).astype(x_dtype)
     w_data = rng.standard_normal(
         (cout, 1 if depthwise else cin, k, k)).astype(w_dtype)
@@ -380,7 +341,7 @@ def test_dense_conv_matches_einsum_reference(n, cin, cout, h, w, k, stride,
                           depthwise=depthwise, **kwargs)
     if isinstance(ref, str):
         assert got == ref and "zero-sized output" in ref
-        return
+        return None, None
     # each value's rounding error is within a few ulps of the sum of the
     # absolute values of its terms, which the reference gives on |x|, |w|
     # and |g| (B has nonnegative entries, so |B^T w| <= B^T |w|)
@@ -390,12 +351,72 @@ def test_dense_conv_matches_einsum_reference(n, cin, cout, h, w, k, stride,
         assert a.dtype == b.dtype and a.shape == b.shape
         rtol = 1e-5 if b.dtype == np.float32 else 1e-12
         assert np.all(np.abs(b - a) <= rtol * np.abs(c))
-    if depthwise and got[0].size > 1:
-        # the tap loop sums the slots in einsum's order, from a zero start
-        assert got[0].tobytes() == ref[0].tobytes()
-        assert got[2].tobytes() == ref[2].tobytes()
     for layout in ("hwnc", "chwn"):
         other = _conv_and_grads(conv2d, _laid_out(x_data, layout), w_data,
                                 seed + 1, bias=None, depthwise=depthwise,
                                 **kwargs)
         assert [a.tobytes() for a in other] == [b.tobytes() for b in got]
+    return ref, got
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 4),
+       h=st.integers(1, 12), w=st.integers(1, 12),
+       k=st.sampled_from([1, 3, 5, 7]), stride=st.integers(1, 3),
+       dil=st.integers(1, 3), pad=st.integers(0, 4),
+       dtypes=st.sampled_from([(np.float32, np.float32),
+                               (np.float64, np.float64),
+                               (np.float64, np.float32)]),
+       circular=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=2, cin=3, cout=2, h=4, w=5, k=1, stride=1, dil=1, pad=2,
+         dtypes=(np.float32, np.float32), circular=False,
+         seed=3)  # K = 1 with padding
+@example(n=1, cin=1, cout=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
+         dtypes=(np.float64, np.float32), circular=True,
+         seed=4)  # one output element, float64 input on float32 weights
+@example(n=2, cin=3, cout=4, h=12, w=11, k=3, stride=2, dil=3, pad=4,
+         dtypes=(np.float32, np.float32), circular=True,
+         seed=5)  # stride and dilation both above 1
+@example(n=1, cin=2, cout=2, h=2, w=9, k=3, stride=1, dil=1, pad=0,
+         dtypes=(np.float64, np.float64), circular=False,
+         seed=6)  # zero output rows
+def test_dense_conv_matches_einsum_reference(n, cin, cout, h, w, k, stride,
+                                             dil, pad, dtypes, circular, seed):
+    """Dense convs agree with the einsum reference to a rounding bound, on
+    the output and both gradients, whatever the input's memory layout."""
+    _check_conv(n, cin, cout, h, w, k, stride, dil, pad, dtypes, circular,
+                False, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 12),
+       w=st.integers(1, 12), k=st.sampled_from([1, 3, 5, 7]),
+       stride=st.integers(1, 3), dil=st.integers(1, 3), pad=st.integers(0, 4),
+       dtypes=st.sampled_from([(np.float32, np.float32),
+                               (np.float64, np.float64),
+                               (np.float64, np.float32)]),
+       circular=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=2, c=3, h=4, w=5, k=1, stride=1, dil=1, pad=2,
+         dtypes=(np.float32, np.float32), circular=False,
+         seed=3)  # K = 1 with padding: borders must be +0.0, as in einsum
+@example(n=1, c=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
+         dtypes=(np.float64, np.float32), circular=True,
+         seed=4)  # one output element, float64 input on float32 weights
+@example(n=2, c=3, h=12, w=11, k=3, stride=2, dil=3, pad=4,
+         dtypes=(np.float32, np.float32), circular=True,
+         seed=5)  # stride and dilation both above 1
+@example(n=3, c=2, h=7, w=6, k=3, stride=1, dil=1, pad=0,
+         dtypes=(np.float32, np.float32), circular=False,
+         seed=6)  # unpadded input, checked with the batch innermost too
+def test_depthwise_conv_matches_reference_bytes(n, c, h, w, k, stride, dil,
+                                                pad, dtypes, circular, seed):
+    """The tap-loop depthwise conv agrees with the im2col reference to a
+    rounding bound, whatever the input's memory layout, and gives its bytes
+    for the output and the input gradient when the output has more than one
+    element."""
+    ref, got = _check_conv(n, c, c, h, w, k, stride, dil, pad, dtypes,
+                           circular, True, seed)
+    if got is not None and got[0].size > 1:
+        # the tap loop sums the slots in einsum's order, from a zero start
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[2].tobytes() == ref[2].tobytes()
