@@ -8,7 +8,11 @@ the same shape and dtype as the value.
 
 A leaf requires a gradient unless built with ``requires_grad=False`` or
 frozen; a computed `Var` requires one exactly when a parent does, so the
-tape and every backward closure skip what no stepped leaf depends on.
+tape and every backward closure skip what no stepped leaf depends on. A
+`Var` that needs no gradient keeps no graph: no parents and no backward
+closure, so its inputs are freed as soon as nothing else reads them.
+`frozen` is the only no-grad switch; a forward under `frozen` over every
+leaf keeps no tape at all.
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ class Var:
     ):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
-        self.parents = tuple(parents)
-        self.backward_fn = backward_fn
-        self.requires_grad = (any(p.requires_grad for p in self.parents)
-                              if self.parents else requires_grad)
+        self.requires_grad = (any(p.requires_grad for p in parents)
+                              if parents else requires_grad)
+        # `tape` descends only into parents that require a gradient, so a
+        # Var that needs none never has its closure called
+        self.parents = tuple(parents) if self.requires_grad else ()
+        self.backward_fn = backward_fn if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -35,8 +35,8 @@ def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return g
 
 
-def check_gradients(forward, leaves: dict[str, Var], *, eps: float = 1e-5,
-                    rtol: float = 1e-6) -> dict[str, float]:
+def check_gradients(forward, leaves: dict[str, Var], *,
+                    eps: float = 1e-5) -> dict[str, float]:
     """Compare backward() gradients of scalar forward() against central
     differences for every named leaf. Returns per-leaf relative errors."""
     for v in leaves.values():
@@ -69,7 +69,7 @@ def run_all_layer_checks(seed: int = 0, *, rtol: float = 1e-6,
     failures = []
 
     def run(name: str, forward, leaves: dict[str, Var]) -> None:
-        errs = check_gradients(forward, leaves, rtol=rtol)
+        errs = check_gradients(forward, leaves)
         worst = max(errs.values())
         ok = worst < rtol
         if verbose:

@@ -54,14 +54,9 @@ class IntegratedConv(Conv2d):
     def draw_for_iteration(self, iteration: int) -> Mode:
         """Re-draw the active branch; deterministic in (seed, stream, iteration)."""
         self._averaging = False
-        if self.p_circular >= 1.0:
-            self.current_choice = Mode.CIRCULAR
-        elif self.p_circular <= 0.0:
-            self.current_choice = Mode.SQUARE
-        else:
-            u = stream(self.seed, f"integrated/{self.stream_id}", iteration).random()
-            self.current_choice = (Mode.CIRCULAR if u < self.p_circular
-                                   else Mode.SQUARE)
+        # u lies in [0, 1): p = 1 always draws CIRCULAR and p = 0 SQUARE
+        u = stream(self.seed, f"integrated/{self.stream_id}", iteration).random()
+        self.current_choice = Mode.CIRCULAR if u < self.p_circular else Mode.SQUARE
         return self.current_choice
 
     def enter_eval(self) -> None:

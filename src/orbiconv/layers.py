@@ -194,7 +194,7 @@ def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        gp = np.zeros_like(patches)
+        gp = np.zeros((n, c, k * k, oh * ow), x.data.dtype)
         np.put_along_axis(gp, arg[:, :, None, :], g.reshape(n, c, 1, -1), axis=2)
         x.accumulate(scatter_patches(gp, x.data.shape, k, stride, padding, 1))
 
@@ -210,7 +210,8 @@ def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        gp = np.broadcast_to(g.reshape(n, c, 1, -1) / (k * k), patches.shape)
+        gp = np.broadcast_to(g.reshape(n, c, 1, -1) / (k * k),
+                             (n, c, k * k, oh * ow))
         x.accumulate(scatter_patches(gp, x.data.shape, k, stride, padding, 1))
 
     return Var(out.reshape(n, c, oh, ow), (x,), bw)
@@ -289,23 +290,19 @@ def kaiming_uniform(shape: tuple[int, ...], fan_in: int, rng,
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def _collect_params(value, out: list[Var]) -> None:
-    if isinstance(value, Var):
-        if value.requires_grad:
-            out.append(value)
-    elif isinstance(value, Module):
-        out.extend(value.params())
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _collect_params(item, out)
+def walk(value):
+    """Depth-first, `value` first: every attribute of a Module and every
+    item of a list or tuple, descending into those two kinds only."""
+    yield value
+    items = (vars(value).values() if isinstance(value, Module)
+             else value if isinstance(value, (list, tuple)) else ())
+    for item in items:
+        yield from walk(item)
 
 
 class Module:
     def params(self) -> list[Var]:
-        out: list[Var] = []
-        for v in vars(self).values():
-            _collect_params(v, out)
-        return out
+        return [v for v in walk(self) if isinstance(v, Var) and v.requires_grad]
 
     def __call__(self, x: Var) -> Var:
         return self.forward(x)

@@ -224,12 +224,10 @@ class SearchNetwork(Module):
                            rng=stream(seed, "w/stem"))
         self.stem_affine = ChannelAffine(c)
         self.cells: list[SearchCell] = []
-        self.reduction_flags: list[bool] = []
         for idx in range(cfg.num_cells):
             reduction = idx == cfg.num_cells - 1 and cfg.num_cells > 1
             self.cells.append(SearchCell(cfg.num_nodes, c, reduction,
                                          cfg.op_names, idx, seed))
-            self.reduction_flags.append(reduction)
         self.classifier = Linear(c, cfg.num_classes,
                                  rng=stream(seed, "w/classifier"))
         n_edges = len(cell_edges(cfg.num_nodes))
@@ -254,8 +252,8 @@ class SearchNetwork(Module):
     def forward(self, x: Var) -> Var:
         s = self.stem_affine(self.stem(x))
         s0 = s1 = s
-        for cell, reduction in zip(self.cells, self.reduction_flags):
-            alphas = self.alphas_reduce if reduction else self.alphas_normal
+        for cell in self.cells:
+            alphas = self.alphas_reduce if cell.reduction else self.alphas_normal
             if s0.data.shape[2] != s1.data.shape[2]:
                 s0 = avg_pool2d(s0, 3, 2, 1)
             out = cell.forward_cell(s0, s1, alphas)

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Var
+from .autodiff import Var, frozen
 from .data import Dataset
-from .layers import Module, softmax_cross_entropy
+from .layers import Module, softmax_cross_entropy, walk
 from .rng import stream
 
 
@@ -82,13 +82,14 @@ class SGD:
 
 
 def evaluate(model: Module, ds: Dataset, batch_size: int = 64) -> float:
-    """Classification error rate on a dataset."""
+    """Classification error rate on a dataset. Every leaf of `model` is
+    frozen meanwhile, so the forward keeps no graph."""
     wrong = 0
-    for start in range(0, len(ds), batch_size):
-        x = Var(ds.images[start:start + batch_size], requires_grad=False)
-        logits = model(x)
-        pred = logits.data.argmax(axis=1)
-        wrong += int((pred != ds.labels[start:start + batch_size]).sum())
+    with frozen([v for v in walk(model) if isinstance(v, Var)]):
+        for start in range(0, len(ds), batch_size):
+            x = Var(ds.images[start:start + batch_size], requires_grad=False)
+            pred = model(x).data.argmax(axis=1)
+            wrong += int((pred != ds.labels[start:start + batch_size]).sum())
     return wrong / max(1, len(ds))
 
 
@@ -120,7 +121,7 @@ def train(model: Module, train_ds: Dataset, test_ds: Dataset,
     report = TrainReport()
     params = model.params()
     opt = SGD(params, cfg.momentum, cfg.weight_decay)
-    integrated = [m for m in _walk(model) if hasattr(m, "draw_for_iteration")]
+    integrated = [m for m in walk(model) if hasattr(m, "draw_for_iteration")]
     iteration = 0
     n = len(train_ds)
     for epoch in range(cfg.epochs):
@@ -142,13 +143,3 @@ def train(model: Module, train_ds: Dataset, test_ds: Dataset,
         report.test_err.append(evaluate(model, test_ds))
         report.lr.append(lr)
     return report
-
-
-def _walk(module):
-    if isinstance(module, Module):
-        yield module
-        for v in vars(module).values():
-            yield from _walk(v)
-    elif isinstance(module, (list, tuple)):
-        for item in module:
-            yield from _walk(item)

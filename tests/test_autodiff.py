@@ -133,6 +133,17 @@ def test_computed_var_requires_grad_exactly_when_a_parent_does():
     assert b.requires_grad and not c.requires_grad
 
 
+def test_var_that_needs_no_gradient_keeps_no_graph():
+    a, b = Var(np.ones(3), requires_grad=False), Var(np.ones(3))
+    out = relu(mul(a, a))
+    assert out.parents == () and out.backward_fn is None
+    with frozen([b]):
+        out = mean_all(add(a, b))
+    assert out.parents == () and out.backward_fn is None
+    out = add(a, b)
+    assert out.parents == (a, b) and out.backward_fn is not None
+
+
 def test_backward_needs_scalar():
     a = Var(np.ones(3))
     with pytest.raises(ValueError):

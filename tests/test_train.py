@@ -138,3 +138,30 @@ def test_training_bytes_do_not_depend_on_blas_threads():
                              timeout=300)
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+_EVALUATE_SUPERNET_IN_1GB = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS,
+                   (1024 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from orbiconv.data import SynthKind, gen_synthetic
+from orbiconv.nas import SearchConfig, SearchNetwork
+from orbiconv.train import evaluate
+
+ds = gen_synthetic(SynthKind.PLANTED_CIRCULAR, 32, 16, 0)
+print(evaluate(SearchNetwork(SearchConfig()), ds))
+"""
+
+
+def test_evaluate_keeps_no_graph_in_1gb():
+    """The default supernet's batch-64 evaluation fits in a 1 GB address
+    space: the forward keeps no parents and no backward closures, so each
+    layer's patches are freed once the next layer has read them."""
+    src = str(Path(orbiconv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", _EVALUATE_SUPERNET_IN_1GB],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert 0.0 <= float(run.stdout) <= 1.0
