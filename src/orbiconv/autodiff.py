@@ -190,18 +190,23 @@ def mean_all(a: Var) -> Var:
 
 
 def weighted_sum(ys: Sequence[Var], w: Var) -> Var:
-    """sum_i w[i] * ys[i] for a 1-D weight vector; gradients flow to both."""
+    """sum_i w[i] * ys[i] for a 1-D weight vector; gradients flow to both.
+
+    The weights are cast to the operands' dtype, so a float32 mix stays
+    float32 for float64 weights. The weight gradient keeps the weights'
+    dtype and sums each operand's products in float64."""
     if len(ys) != w.data.shape[0]:
         raise ValueError("weight/operand count mismatch")
-    out_data = sum(w.data[i] * ys[i].data for i in range(len(ys)))
+    wc = w.data.astype(np.result_type(*(y.data.dtype for y in ys)))
+    out_data = sum(wc[i] * ys[i].data for i in range(len(ys)))
 
     def bw(g: np.ndarray) -> None:
         for i, y in enumerate(ys):
             if y.requires_grad:
-                y.accumulate(g * w.data[i])
+                y.accumulate(g * wc[i])
         if w.requires_grad:
-            gw = np.array([float(np.sum(g * y.data)) for y in ys], dtype=w.data.dtype)
-            w.accumulate(gw)
+            w.accumulate(np.array([np.sum(g * y.data, dtype=np.float64)
+                                   for y in ys], dtype=w.data.dtype))
 
     return Var(out_data, tuple(ys) + (w,), bw)
 

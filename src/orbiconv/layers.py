@@ -5,19 +5,21 @@ Every conv and pool reads the padded input through one strided view,
 (row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
 flattening used by the geometry and transform modules. Patches have one
 memory layout, a C-order (N, C, K*K, OH*OW) copy of that view
-(`_patch_matrix`). Pools and dense convs read them through `extract_patches`;
-dense convs run as BLAS matmuls on them. Col2im adds a patch gradient slot by
-slot, in slot order, onto the window each slot read. Depthwise convs build
-patches only for the weight gradient: the forward and the input gradient
-loop over the slots in order on the windows.
+(`_patch_matrix`). Max pools and dense convs read them through
+`extract_patches`; dense convs run as BLAS matmuls on them. Depthwise convs
+run as one BLAS product per sample and channel on them, for the output and
+the weight gradient; the forward copies the patches a few samples at a time
+(`_DW_SLICE_BYTES`), which moves no bit, since each product is its own BLAS
+call. Col2im adds a patch gradient slot by slot, in slot order, onto the
+window each slot read; the depthwise input gradient does the same on the
+windows, and the avg pool forward adds the windows themselves, slots in
+order from a zero start.
 
 Against the fancy-index, scatter-add and einsum references in
-`tests/conftest.py`: pools keep every byte, except an avg pool forward with
-one output pixel per channel (numpy then sums a patch's slots pairwise);
-depthwise convs keep the bytes of the output and the input gradient, except
-on a one-element output; the depthwise weight gradient and dense convs match
-to rounding. No bit depends on the input's memory layout, nor on the BLAS
-thread count.
+`tests/conftest.py`: pools keep every byte; the depthwise input gradient
+keeps the bytes, except on a one-element output; dense and depthwise
+outputs and weight gradients match to rounding. No bit depends on the
+input's memory layout, nor on the BLAS thread count.
 
 Circular layers hold a TransformMatrix and re-parameterize their weights
 once per forward pass (effective kernel = B^T @ w); the backward pass maps
@@ -39,6 +41,10 @@ from .transform import (
     reparameterize,
     transform_gradient_pushforward,
 )
+
+
+# bytes of the patch copy one slice of a depthwise forward may build
+_DW_SLICE_BYTES = 1 << 22
 
 
 def _out_shape(h: int, w: int, k: int, stride: int, pad: int,
@@ -132,13 +138,17 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
 
     oh, ow = _out_shape(h, w, k, stride, padding, dilation)
     if depthwise:
-        # tap loop over strided windows, slots in order from a zero start
+        # one BLAS product per (sample, channel) over its C-order patch
+        # matrix, built a few samples at a time so that no patch copy
+        # outgrows _DW_SLICE_BYTES; the slicing moves no bit
         xp = _pad(x.data, padding)
-        win = _tap_windows(xp, k, oh, ow, stride, dilation)
-        w_dw = w_eff.reshape(c, kk, 1, 1)
-        out = np.zeros((n, c, oh, ow), np.result_type(w_dw, xp))
-        for slot in range(kk):
-            out += w_dw[:, slot] * win[:, :, slot // k, slot % k]
+        w_row = w_eff.reshape(1, c, 1, kk)
+        out = np.empty((n, c, 1, oh * ow), np.result_type(w_row, xp))
+        step = max(1, _DW_SLICE_BYTES // (c * kk * oh * ow * xp.itemsize))
+        for s in range(0, n, step):
+            np.matmul(w_row, _patch_matrix(xp[s:s + step], k, oh, ow, stride,
+                                           dilation), out=out[s:s + step])
+        out = out.reshape(n, c, oh, ow)
     else:
         # the C-order patch matrix reshapes to (N, C*K*K, OH*OW) as a view,
         # so every gemm operand is C-contiguous; the backward reuses it
@@ -158,11 +168,14 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
         if depthwise:
             if weights.requires_grad:
                 cols = _patch_matrix(xp, k, oh, ow, stride, dilation)
-                g_eff = np.einsum("ncl,nckl->ck", gl, cols).reshape(c, 1, kk)
+                g_eff = (gl[:, :, None] @ cols.transpose(0, 1, 3, 2)).sum(0)
                 if transform is not None:
                     g_eff = transform_gradient_pushforward(g_eff, transform)
                 weights.accumulate(g_eff.reshape(weights.data.shape))
             if x.requires_grad:
+                # tap loop over strided windows, slots in order from a zero
+                # start: the slot-order add of scatter_patches
+                w_dw = w_eff.reshape(c, kk, 1, 1)
                 gxp = np.zeros(xp.shape, dtype=np.result_type(w_dw, g))
                 gwin = _tap_windows(gxp, k, oh, ow, stride, dilation,
                                     writeable=True)
@@ -204,8 +217,13 @@ def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
 def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     n, c, h, w = x.data.shape
     oh, ow = _out_shape(h, w, k, stride, padding, 1)
-    patches = extract_patches(x.data, k, stride, padding, 1)
-    out = patches.mean(axis=2)
+    # the tap windows added in slot order from a zero start, as the
+    # reference sums a patch's slots; no patch copy
+    win = _tap_windows(_pad(x.data, padding), k, oh, ow, stride, 1)
+    out = np.zeros((n, c, oh, ow), x.data.dtype)
+    for slot in range(k * k):
+        out += win[:, :, slot // k, slot % k]
+    out /= k * k
 
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
@@ -214,7 +232,7 @@ def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
                              (n, c, k * k, oh * ow))
         x.accumulate(scatter_patches(gp, x.data.shape, k, stride, padding, 1))
 
-    return Var(out.reshape(n, c, oh, ow), (x,), bw)
+    return Var(out, (x,), bw)
 
 
 def global_avg_pool(x: Var) -> Var:

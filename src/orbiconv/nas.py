@@ -206,7 +206,8 @@ class SearchConfig(TrainConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name, least in (("num_nodes", 3), ("channels", 1)):
+        for name, least in (("num_nodes", 3), ("num_cells", 1),
+                            ("channels", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
 

@@ -102,6 +102,26 @@ def test_weighted_sum_values_and_grads():
     assert np.allclose(w.grad, [0.5, 1.0])
     assert np.allclose(ys[0].grad, [0.125, 0.125])
 
+    # float32 operands on float64 weights: the mix and the operand gradients
+    # stay float32, and the weight gradient is float64, summed in float64
+    rng = np.random.default_rng(0)
+    ys = [Var(rng.standard_normal((4, 3, 5, 5)).astype(np.float32))
+          for _ in range(3)]
+    w = Var(rng.random(3))
+    out = weighted_sum(ys, w)
+    w32 = w.data.astype(np.float32)
+    assert out.data.dtype == np.float32
+    assert out.data.tobytes() == sum(w32[i] * y.data
+                                     for i, y in enumerate(ys)).tobytes()
+    g = rng.standard_normal(out.data.shape).astype(np.float32)
+    out.backward(g)
+    for i, y in enumerate(ys):
+        assert y.grad.dtype == np.float32
+        assert y.grad.tobytes() == (g * w32[i]).tobytes()
+    assert w.grad.dtype == np.float64
+    ref = [np.sum(g.astype(np.float64) * y.data) for y in ys]
+    assert np.allclose(w.grad, ref, rtol=1e-5, atol=0)
+
 
 def test_weighted_sum_count_mismatch():
     with pytest.raises(ValueError):

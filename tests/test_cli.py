@@ -197,10 +197,13 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("search", "search.batch_size = 0", "batch_size must be at least 1"),
     ("search", "search.channels = 0", "channels must be at least 1"),
     ("search", "search.num_nodes = 2", "num_nodes must be at least 3"),
+    ("search", "search.num_cells = 0", "num_cells must be at least 1"),
+    ("search", "search.num_cells = -2", "num_cells must be at least 1"),
     ("train", "model.kernel_size = 4", "kernel_size must be odd"),
     ("robustness", "model.shape = hexagon", "unknown kernel shape"),
 ], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
-        "search-channels-0", "search-nodes-2", "train-even-kernel",
+        "search-channels-0", "search-nodes-2", "search-cells-0",
+        "search-cells-negative", "train-even-kernel",
         "robustness-unknown-shape"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):
@@ -221,8 +224,9 @@ def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
     if command == "search":
         argv += ["--out", str(tmp_path / "genotype.json")]
     assert main(argv) == 2
-    assert named in capsys.readouterr().err
-    assert not out.exists()
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "genotype.json").exists()
 
 
 @pytest.mark.parametrize("command, line, key", [

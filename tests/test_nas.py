@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from orbiconv import layers
 from orbiconv.autodiff import Var, frozen
 from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.nas import (
@@ -32,6 +33,28 @@ def _const(arr):
 def _softmax(a):
     e = np.exp(a - a.max())
     return e / e.sum()
+
+
+def test_float32_supernet_forward_stays_float32(monkeypatch):
+    """The float64 alphas mix float32 ops in float32: a float32 supernet
+    over all primitives, with a reduction cell, gives float32 logits, and
+    every conv it runs reads a float32 input."""
+    seen, original = [], layers.conv2d
+
+    def conv2d(x, *args, **kwargs):
+        seen.append(x.data.dtype)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(layers, "conv2d", conv2d)
+    net = SearchNetwork(SearchConfig(num_nodes=4, num_cells=2, channels=8,
+                                     op_names=list(PRIMITIVES)))
+    x = np.random.default_rng(0).random((2, 1, 16, 16), dtype=np.float32)
+    logits = net(Var(x, requires_grad=False))
+    assert logits.data.dtype == np.float32
+    # the stem, and per cell 5 edges of 6 sep convs (2 convs each) and the
+    # combine conv
+    assert len(seen) == 123
+    assert set(seen) == {np.dtype(np.float32)}
 
 
 def test_primitive_roster():
