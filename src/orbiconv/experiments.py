@@ -45,58 +45,108 @@ class RobustnessSweep:
         for a in self.angle_ranges:
             if not 0 < a < 90:
                 raise ValueError(f"angle range {a} not in (0, 90)")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
 
 
-def warp_image(img: np.ndarray, angle: float, mode: WarpMode) -> np.ndarray:
-    """Rotate or shear an H x W image about its center.
+# Float64 bytes of one chunk's (n, H, W) plane in `warp_images`: 16 images
+# of 16 x 16. A chunk holds about a dozen such planes at once. On a 2-vCPU
+# x86 box an 80-image call took 0.8-1.2 ms in chunks of 16 or 32 images and
+# 1.3-1.9 ms in chunks of 64 or more, whose temporaries land on fresh pages.
+# Each image is warped on its own, so the chunking moves no bit.
+_WARP_CHUNK_BYTES = 1 << 15
+
+
+def warp_images(imgs: np.ndarray, angles, mode: WarpMode) -> np.ndarray:
+    """Rotate or shear each H x W image of `imgs` (N, H, W) about its center
+    by its own angle in degrees.
 
     Inverse-map resampling with bilinear interpolation and zero fill, in the
     same y-up convention as the kernel geometry. Shear maps x to
-    x + tan(angle) * y.
+    x + tan(angle) * y. An image whose angle is 0 comes back unchanged.
     """
-    h, w = img.shape
-    if mode is WarpMode.SHEAR and not abs(angle) < 90:
+    n, h, w = imgs.shape
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.shape != (n,):
+        raise ValueError(f"angles of shape {angles.shape} for {n} images")
+    if mode is WarpMode.SHEAR and not np.all(np.abs(angles) < 90):
         raise ValueError("shear angle must satisfy |angle| < 90")
-    if angle == 0.0:
-        return img.copy()
+    out = np.empty_like(imgs)
+    step = max(1, _WARP_CHUNK_BYTES // (8 * max(1, h * w)))
+    for s in range(0, n, step):
+        out[s:s + step] = _warp_chunk(imgs[s:s + step],
+                                      angles[s:s + step].tolist(), mode)
+    still = angles == 0.0
+    out[still] = imgs[still]
+    return out
+
+
+def _warp_chunk(imgs: np.ndarray, angles: list[float],
+                mode: WarpMode) -> np.ndarray:
+    """`warp_images` of one chunk. The trigonometry is scalar `math` per
+    image (numpy's array `tan` differs from it in the last ulp on some
+    angles), broadcast as (n, 1, 1) over one shared grid. The taps read a
+    copy with a two-pixel zero border, so a tap outside the image reads 0."""
+    n, h, w = imgs.shape
     cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
     rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
     x = cols - cc
     y = cr - rows
-    rad = math.radians(angle)
+    rads = [math.radians(a) for a in angles]
+
+    def per_image(f):
+        return np.array([f(r) for r in rads]).reshape(n, 1, 1)
+
+    # source pixel of each output pixel: (src_r, src_c) = (cr - ys, xs + cc)
     if mode is WarpMode.ROTATE:
-        ct, st = math.cos(rad), math.sin(rad)
-        xs = ct * x + st * y
-        ys = -st * x + ct * y
+        ct, st = per_image(math.cos), per_image(math.sin)
+        src_c = ct * x
+        src_c += st * y
+        src_r = -st * x
+        src_r += ct * y
+        np.subtract(cr, src_r, out=src_r)
     else:
-        xs = x - math.tan(rad) * y
-        ys = y
-    src_r = cr - ys
-    src_c = xs + cc
+        src_c = x - per_image(math.tan) * y
+        src_r = cr - y
+    src_c += cc
     r0 = np.floor(src_r).astype(np.int64)
     c0 = np.floor(src_c).astype(np.int64)
-    fr = src_r - r0
-    fc = src_c - c0
-    out = np.zeros_like(img, dtype=np.float64)
-    for dr, dc, wgt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        rr = r0 + dr
-        cc2 = c0 + dc
-        valid = (rr >= 0) & (rr < h) & (cc2 >= 0) & (cc2 < w)
-        vals = np.where(valid, img[np.clip(rr, 0, h - 1), np.clip(cc2, 0, w - 1)], 0.0)
-        out += wgt * vals
-    return out.astype(img.dtype)
+    fr = np.subtract(src_r, r0, out=src_r)
+    fc = np.subtract(src_c, c0, out=src_c)
+    gr, gc = 1 - fr, 1 - fc
+    pw = w + 4
+    padded = np.zeros((n, h + 4, pw), dtype=imgs.dtype)
+    padded[:, 2:-2, 2:-2] = imgs
+    flat = padded.reshape(-1)
+    # flat index of tap (r0, c0). Clipping r0 to [-2, h] and c0 to [-2, w]
+    # moves only corners whose two taps both lie off the image, and keeps
+    # those taps on the zero border.
+    idx = np.clip(r0, -2, h) * pw + np.clip(c0, -2, w)
+    idx += np.arange(n).reshape(n, 1, 1) * padded[0].size + 2 * pw + 2
+    out = np.zeros((n, h, w))
+    for a, b, shift in ((gr, gc, 0), (gr, fc, 1), (fr, gc, pw),
+                        (fr, fc, pw + 1)):
+        wgt = a * b
+        wgt *= flat.take(idx + shift)
+        out += wgt
+    return out.astype(imgs.dtype)
+
+
+def warp_image(img: np.ndarray, angle: float, mode: WarpMode) -> np.ndarray:
+    """`warp_images` of one H x W image."""
+    return warp_images(img[None], [angle], mode)[0]
 
 
 def warp_dataset(ds: Dataset, angle_range: float, mode: WarpMode,
                  rng) -> Dataset:
-    """Warp every image by an independent uniform angle in (-a, a)."""
-    images = np.empty_like(ds.images)
-    for i in range(len(ds)):
-        angle = rng.uniform(-angle_range, angle_range)
-        for c in range(ds.images.shape[1]):
-            images[i, c] = warp_image(ds.images[i, c], angle, mode)
-    return Dataset(images, ds.labels.copy(), ds.split_tag)
+    """Warp every image by an independent uniform angle in (-a, a), drawn
+    in image order; an image's channels share its angle."""
+    n, c, h, w = ds.images.shape
+    angles = rng.uniform(-angle_range, angle_range, size=n)
+    images = warp_images(ds.images.reshape(n * c, h, w),
+                         np.repeat(angles, c), mode)
+    return Dataset(images.reshape(ds.images.shape), ds.labels.copy(),
+                   ds.split_tag)
 
 
 def robustness_eval(model: Module, test: Dataset,
@@ -312,6 +362,12 @@ class DataConfig:
     kind: SynthKind = SynthKind.RING_VS_CROSS
     n_per_class: int = 40
     size: int = 16
+
+    def __post_init__(self) -> None:
+        if self.n_per_class < 1:
+            raise ValueError("n_per_class must be at least 1")
+        if self.size < 8:
+            raise ValueError("size must be at least 8")
 
     def splits(self, seed: int) -> tuple[Dataset, Dataset]:
         """The train split of `seed` and the test split, seeded 10_000 higher."""

@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from orbiconv.autodiff import Var
+from orbiconv.data import Dataset
+from orbiconv.experiments import WarpMode
 from orbiconv.geometry import circular_points
 from orbiconv.transform import reparameterize, transform_gradient_pushforward
 
@@ -251,3 +253,58 @@ def reference_dense_conv2d(x, weights, *, stride: int = 1, padding: int = 0,
                                                    padding, dilation))
 
     return Var(out, (x, weights), bw)
+
+
+# The per-image, per-channel warp that `orbiconv.experiments` ran before its
+# batched `warp_images`, kept as the slow reference.
+
+
+def reference_warp_image(img: np.ndarray, angle: float,
+                         mode: WarpMode) -> np.ndarray:
+    """Rotate or shear one H x W image about its center: inverse-map
+    bilinear resampling with zero fill, y up."""
+    h, w = img.shape
+    if mode is WarpMode.SHEAR and not abs(angle) < 90:
+        raise ValueError("shear angle must satisfy |angle| < 90")
+    if angle == 0.0:
+        return img.copy()
+    cr, cc = (h - 1) / 2.0, (w - 1) / 2.0
+    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
+    x = cols - cc
+    y = cr - rows
+    rad = math.radians(angle)
+    if mode is WarpMode.ROTATE:
+        ct, st = math.cos(rad), math.sin(rad)
+        xs = ct * x + st * y
+        ys = -st * x + ct * y
+    else:
+        xs = x - math.tan(rad) * y
+        ys = y
+    src_r = cr - ys
+    src_c = xs + cc
+    r0 = np.floor(src_r).astype(np.int64)
+    c0 = np.floor(src_c).astype(np.int64)
+    fr = src_r - r0
+    fc = src_c - c0
+    out = np.zeros_like(img, dtype=np.float64)
+    for dr, dc, wgt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
+                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
+        rr = r0 + dr
+        cc2 = c0 + dc
+        valid = (rr >= 0) & (rr < h) & (cc2 >= 0) & (cc2 < w)
+        vals = np.where(valid, img[np.clip(rr, 0, h - 1),
+                                   np.clip(cc2, 0, w - 1)], 0.0)
+        out += wgt * vals
+    return out.astype(img.dtype)
+
+
+def reference_warp_dataset(ds: Dataset, angle_range: float, mode: WarpMode,
+                           rng) -> Dataset:
+    """Each image warped by its own `rng.uniform(-a, a)`, drawn one image at
+    a time; its channels share the angle."""
+    images = np.empty_like(ds.images)
+    for i in range(len(ds)):
+        angle = rng.uniform(-angle_range, angle_range)
+        for c in range(ds.images.shape[1]):
+            images[i, c] = reference_warp_image(ds.images[i, c], angle, mode)
+    return Dataset(images, ds.labels.copy(), ds.split_tag)

@@ -201,10 +201,17 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("search", "search.num_cells = -2", "num_cells must be at least 1"),
     ("train", "model.kernel_size = 4", "kernel_size must be odd"),
     ("robustness", "model.shape = hexagon", "unknown kernel shape"),
+    ("robustness", "robustness.trials = 0", "trials must be at least 1"),
+    ("train", "data.n_per_class = 0", "n_per_class must be at least 1"),
+    ("robustness", "data.n_per_class = 0", "n_per_class must be at least 1"),
+    ("train", "data.size = 4", "size must be at least 8"),
+    ("robustness", "data.size = 4", "size must be at least 8"),
 ], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
         "search-channels-0", "search-nodes-2", "search-cells-0",
         "search-cells-negative", "train-even-kernel",
-        "robustness-unknown-shape"])
+        "robustness-unknown-shape", "robustness-trials-0",
+        "train-n-per-class-0", "robustness-n-per-class-0", "train-size-4",
+        "robustness-size-4"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):
     """A value out of its field's range exits 2 naming the field, before

@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_warp_dataset, reference_warp_image
+from orbiconv import experiments
 from orbiconv.experiments import (
     Config,
     ConfigError,
@@ -18,9 +22,10 @@ from orbiconv.experiments import (
     robustness_eval,
     warp_dataset,
     warp_image,
+    warp_images,
     write_manifest,
 )
-from orbiconv.data import Dataset, SynthKind, gen_synthetic
+from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.rng import stream
 
 
@@ -58,8 +63,12 @@ def test_shear_preserves_rows():
 
 
 def test_shear_angle_limit():
-    with pytest.raises(ValueError):
-        warp_image(np.zeros((4, 4)), 90.0, WarpMode.SHEAR)
+    for angle in (90.0, -90.0, 135.0):
+        with pytest.raises(ValueError):
+            warp_image(np.zeros((4, 4)), angle, WarpMode.SHEAR)
+        with pytest.raises(ValueError):
+            warp_images(np.zeros((3, 4, 4)), [10.0, angle, 0.0],
+                        WarpMode.SHEAR)
 
 
 def test_warp_dataset_keeps_labels_and_shape():
@@ -70,11 +79,101 @@ def test_warp_dataset_keeps_labels_and_shape():
     assert not np.array_equal(out.images, ds.images)
 
 
+# the largest |angle| drawn in each mode: rotation up to a quarter turn,
+# shear short of its limit of 90 degrees
+_WARP_LIMIT = {WarpMode.ROTATE: 90.0, WarpMode.SHEAR: 89.9}
+_FRACTION = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(-1.0, 1.0))
+
+
+def _images(shape, dtype, seed):
+    """Normal pixels of `dtype`, the first of them -0.0."""
+    imgs = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+    imgs.reshape(-1)[:1] = -0.0
+    return imgs
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       mode=st.sampled_from(list(WarpMode)), fraction=_FRACTION,
+       seed=st.integers(0, 2**32 - 1))
+@example(h=9, w=9, dtype=np.float64, mode=WarpMode.ROTATE, fraction=-0.0,
+         seed=0)  # -0.0 degrees returns the image's own bytes
+@example(h=5, w=11, dtype=np.float32, mode=WarpMode.SHEAR, fraction=-1.0,
+         seed=1)  # the steepest shear, sending most taps off the image
+def test_warp_image_gives_reference_bytes(h, w, dtype, mode, fraction, seed):
+    img = _images((h, w), dtype, seed)
+    angle = fraction * _WARP_LIMIT[mode]
+    want = reference_warp_image(img, angle, mode)
+    got = warp_image(img, angle, mode)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 5), c=st.integers(1, 3), h=st.integers(1, 12),
+       w=st.integers(1, 12), dtype=st.sampled_from([np.float32, np.float64]),
+       mode=st.sampled_from(list(WarpMode)),
+       fraction=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, c=3, h=7, w=12, dtype=np.float32, mode=WarpMode.ROTATE,
+         fraction=1.0, seed=0)  # channels share one angle, H != W
+def test_warp_dataset_gives_reference_bytes(n, c, h, w, dtype, mode,
+                                            fraction, seed):
+    ds = Dataset(_images((n, c, h, w), dtype, seed), np.arange(n) % 2,
+                 Split.TEST)
+    a = fraction * _WARP_LIMIT[mode]
+    want = reference_warp_dataset(ds, a, mode, stream(seed, "warp"))
+    got = warp_dataset(ds, a, mode, stream(seed, "warp"))
+    assert got.images.dtype == want.images.dtype
+    assert got.images.tobytes() == want.images.tobytes()
+    assert np.array_equal(got.labels, ds.labels)
+    assert got.split_tag is ds.split_tag
+
+
+@pytest.mark.parametrize("mode", list(WarpMode))
+def test_warp_images_give_reference_bytes_over_many_angles(mode):
+    """A thousand angles in one batch: enough that an angle whose cos, sin
+    or tan is one ulp off the scalar `math` one changes output bytes."""
+    n, lim = 1000, _WARP_LIMIT[mode]
+    imgs = _images((n, 6, 5), np.float64, 0)
+    angles = np.random.default_rng(1).uniform(-lim, lim, n)
+    want = np.stack([reference_warp_image(im, a, mode)
+                     for im, a in zip(imgs, angles)])
+    assert warp_images(imgs, angles, mode).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(WarpMode))
+def test_warp_chunks_move_no_bit(mode):
+    """A batch that spans several chunks and a one-image tail gives the
+    bytes of its images warped one call at a time."""
+    h, w = 11, 13
+    n = 2 * (experiments._WARP_CHUNK_BYTES // (8 * h * w)) + 1
+    assert n >= 3  # two full chunks and a one-image tail
+    imgs = _images((n, h, w), np.float32, 0)
+    angles = np.random.default_rng(1).uniform(-60, 60, n)
+    angles[1] = 0.0
+    one_by_one = np.stack([warp_image(im, a, mode)
+                           for im, a in zip(imgs, angles)])
+    assert warp_images(imgs, angles, mode).tobytes() == one_by_one.tobytes()
+
+
+def test_empty_dataset_warps_to_empty_dataset():
+    ds = Dataset(np.zeros((0, 2, 8, 10), np.float32),
+                 np.zeros(0, np.int64), Split.TEST)
+    out = warp_dataset(ds, 30.0, WarpMode.ROTATE, stream(0, "warp"))
+    assert out.images.shape == (0, 2, 8, 10)
+    assert out.images.dtype == np.float32 and len(out) == 0
+
+
 def test_sweep_rejects_out_of_range_angles():
     with pytest.raises(ValueError):
         RobustnessSweep(angle_ranges=[0])
     with pytest.raises(ValueError):
         RobustnessSweep(angle_ranges=[95])
+    with pytest.raises(ValueError, match="trials"):
+        RobustnessSweep(trials=0)
 
 
 class _ConstantModel:

@@ -249,7 +249,12 @@ def _reference_pool(kind, x, g, k, stride, pad):
         np.put_along_axis(gp, arg, g.reshape(n, c, 1, -1), axis=2)
     else:
         p = reference_extract_patches(x, k, stride, pad, 1)
-        out = p.mean(axis=2)
+        # the slots summed in order from a zero start, over K*K: numpy's
+        # `p.mean(axis=2)` sums pairwise when N*C*OH*OW is 1
+        out = np.zeros_like(p[:, :, 0])
+        for slot in range(k * k):
+            out += p[:, :, slot]
+        out /= k * k
         gp = np.broadcast_to(g.reshape(n, c, 1, -1) / (k * k), p.shape)
     return (out.reshape(g.shape),
             reference_scatter_patches(gp, x.shape, k, stride, pad, 1))
@@ -263,6 +268,8 @@ def _reference_pool(kind, x, g, k, stride, pad):
        seed=st.integers(0, 2**32 - 1))
 @example(kind="avg", n=2, c=3, h=3, w=3, k=3, stride=1, pad=0,
          dtype=np.float32, seed=0)  # one output pixel per channel
+@example(kind="avg", n=1, c=1, h=5, w=5, k=5, stride=1, pad=0,
+         dtype=np.float32, seed=0)  # one output pixel in all
 @example(kind="max", n=1, c=2, h=4, w=4, k=3, stride=1, pad=1,
          dtype=np.float64, seed=1)  # ties, and -inf borders
 def test_pools_match_reference_bytes(kind, n, c, h, w, k, stride, pad, dtype,
