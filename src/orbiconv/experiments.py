@@ -387,9 +387,13 @@ def data_config(cfg: Config, default: DataConfig = DataConfig(),
 
 
 def integrated_options(cfg: Config) -> dict:
-    """SmallCNN's `p_circular` and `eval_branch` from `integrated.*`."""
-    return _read_section(cfg, "integrated", ("p_circular", "eval_branch"),
+    """SmallCNN's `p_circular` and `eval_branch` from `integrated.*`;
+    `p_circular` must be in [0, 1]."""
+    opts = _read_section(cfg, "integrated", ("p_circular", "eval_branch"),
                          SmallCNN.__init__.__kwdefaults__)
+    if not 0 <= opts["p_circular"] <= 1:
+        raise ConfigError("integrated.p_circular must be in [0, 1]")
+    return opts
 
 
 @dataclass

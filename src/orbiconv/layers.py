@@ -5,15 +5,18 @@ Every conv and pool reads the padded input through one strided view,
 (row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
 flattening used by the geometry and transform modules. Patches have one
 memory layout, a C-order (N, C, K*K, OH*OW) copy of that view
-(`_patch_matrix`). Max pools and dense convs read them through
-`extract_patches`; dense convs run as BLAS matmuls on them. Depthwise convs
-run as one BLAS product per sample and channel on them, for the output and
-the weight gradient; the forward copies the patches a few samples at a time
-(`_DW_SLICE_BYTES`), which moves no bit, since each product is its own BLAS
-call. Col2im adds a patch gradient slot by slot, in slot order, onto the
-window each slot read; the depthwise input gradient does the same on the
-windows, and the avg pool forward adds the windows themselves, slots in
-order from a zero start.
+(`_patch_matrix`). Dense convs read them through `extract_patches` and run
+as BLAS matmuls on them. Depthwise convs run as one BLAS product per sample
+and channel on them, for the output and the weight gradient; the forward
+copies the patches a few samples at a time (`_DW_SLICE_BYTES`), which moves
+no bit, since each product is its own BLAS call. Pools copy no patches:
+they fold the windows themselves in slot order, a sum from a zero start or
+a running `np.maximum`. Every input gradient adds one term per slot onto
+the window that slot read, slots in order from a zero start
+(`_add_onto_windows`): col2im (`scatter_patches`) a dense conv's patch
+gradient, the depthwise conv the weighted output gradient, the avg pool the
+output gradient over K*K, and the max pool the output gradient on the first
+slot that holds the maximum and +0.0 on the others.
 
 Against the fancy-index, scatter-add and einsum references in
 `tests/conftest.py`: pools keep every byte; the depthwise input gradient
@@ -29,6 +32,8 @@ and a circular layer differ only in the fixed matrix.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -80,7 +85,7 @@ def _tap_windows(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
 def _patch_matrix(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
                   dil: int) -> np.ndarray:
     """C-order (N, C, K*K, OH*OW) copy of a padded input's tap windows: the
-    one memory layout every conv and pool reads its patches in."""
+    one memory layout every conv reads its patches in."""
     n, c = xp.shape[:2]
     return np.ascontiguousarray(_tap_windows(xp, k, oh, ow, stride, dil)
                                 ).reshape(n, c, k * k, oh * ow)
@@ -93,6 +98,20 @@ def extract_patches(x: np.ndarray, k: int, stride: int, pad: int, dil: int,
     return _patch_matrix(_pad(x, pad, pad_value), k, oh, ow, stride, dil)
 
 
+def _add_onto_windows(term, in_shape: tuple[int, int, int, int], k: int,
+                      stride: int, pad: int, dil: int, dtype) -> np.ndarray:
+    """Adjoint of reading tap windows: the (N, C, H, W) sum of each kernel
+    slot's (N, C, OH, OW) `term(slot)` added onto the window that slot read,
+    slots in order 0..K*K-1 from a zero start."""
+    n, c, h, w = in_shape
+    oh, ow = _out_shape(h, w, k, stride, pad, dil)
+    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype)
+    win = _tap_windows(gxp, k, oh, ow, stride, dil, writeable=True)
+    for slot in range(k * k):
+        win[:, :, slot // k, slot % k] += term(slot)
+    return gxp[:, :, pad:pad + h, pad:pad + w]
+
+
 def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
                     k: int, stride: int, pad: int, dil: int) -> np.ndarray:
     """Adjoint of extract_patches: add each kernel slot's patch gradients
@@ -100,11 +119,8 @@ def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
     n, c, h, w = in_shape
     oh, ow = _out_shape(h, w, k, stride, pad, dil)
     g = g.reshape(n, c, k * k, oh, ow)
-    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-    win = _tap_windows(gxp, k, oh, ow, stride, dil, writeable=True)
-    for slot in range(k * k):
-        win[:, :, slot // k, slot % k] += g[:, :, slot]
-    return gxp[:, :, pad:pad + h, pad:pad + w]
+    return _add_onto_windows(lambda slot: g[:, :, slot], in_shape, k, stride,
+                             pad, dil, g.dtype)
 
 
 def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
@@ -173,16 +189,10 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
                     g_eff = transform_gradient_pushforward(g_eff, transform)
                 weights.accumulate(g_eff.reshape(weights.data.shape))
             if x.requires_grad:
-                # tap loop over strided windows, slots in order from a zero
-                # start: the slot-order add of scatter_patches
                 w_dw = w_eff.reshape(c, kk, 1, 1)
-                gxp = np.zeros(xp.shape, dtype=np.result_type(w_dw, g))
-                gwin = _tap_windows(gxp, k, oh, ow, stride, dilation,
-                                    writeable=True)
-                for slot in range(kk):
-                    gwin[:, :, slot // k, slot % k] += w_dw[:, slot] * g
-                x.accumulate(gxp[:, :, padding:padding + h,
-                                 padding:padding + w])
+                x.accumulate(_add_onto_windows(
+                    lambda slot: w_dw[:, slot] * g, x.data.shape, k, stride,
+                    padding, dilation, np.result_type(w_dw, g)))
         else:
             if weights.requires_grad:
                 g_eff = (gl @ patches.transpose(0, 2, 1)).sum(axis=0)
@@ -198,20 +208,40 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
 
 
 def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
-    n, c, h, w = x.data.shape
-    oh, ow = _out_shape(h, w, k, stride, padding, 1)
-    patches = extract_patches(x.data, k, stride, padding, 1, pad_value=-np.inf)
-    arg = patches.argmax(axis=2)
-    out = np.take_along_axis(patches, arg[:, :, None, :], axis=2)[:, :, 0, :]
+    oh, ow = _out_shape(*x.data.shape[2:], k, stride, padding, 1)
+    # the tap windows folded in slot order, the new tap first: on a tie
+    # np.maximum returns its second operand, the earlier slot, as argmax
+    # keeps the first maximum (which tells -0.0 from +0.0); a NaN propagates
+    xp = _pad(x.data, padding, -np.inf)
+    taps = _tap_windows(xp, k, oh, ow, stride, 1)
+    out = taps[:, :, 0, 0].copy()
+    for slot in range(1, k * k):
+        np.maximum(taps[:, :, slot // k, slot % k], out, out=out)
 
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        gp = np.zeros((n, c, k * k, oh * ow), x.data.dtype)
-        np.put_along_axis(gp, arg[:, :, None, :], g.reshape(n, c, 1, -1), axis=2)
-        x.accumulate(scatter_patches(gp, x.data.shape, k, stride, padding, 1))
+        # each output's gradient goes to the first slot whose tap has the
+        # output's bits (in a NaN window its first NaN), where argmax sends
+        # it; the other slots add +0.0. `left` holds the bits of the
+        # gradients not routed yet. Selecting on the bits keeps inf and NaN
+        # gradients exact, where g * hit would give inf * 0 = NaN.
+        bits = np.dtype(f"u{xp.itemsize}")
+        win = _tap_windows(xp, k, oh, ow, stride, 1).view(bits)
+        target = out.view(bits)
+        left = g.astype(xp.dtype).view(bits)
+        hit, m = np.empty(out.shape, bool), np.empty(out.shape, bits)
 
-    return Var(out.reshape(n, c, oh, ow), (x,), bw)
+        def route(slot: int) -> np.ndarray:
+            np.equal(win[:, :, slot // k, slot % k], target, out=hit)
+            np.multiply(left, hit, out=m)
+            np.bitwise_xor(left, m, out=left)
+            return m.view(xp.dtype)
+
+        x.accumulate(_add_onto_windows(route, x.data.shape, k, stride,
+                                       padding, 1, xp.dtype))
+
+    return Var(out, (x,), bw)
 
 
 def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
@@ -228,9 +258,9 @@ def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        gp = np.broadcast_to(g.reshape(n, c, 1, -1) / (k * k),
-                             (n, c, k * k, oh * ow))
-        x.accumulate(scatter_patches(gp, x.data.shape, k, stride, padding, 1))
+        g_slot = g / (k * k)
+        x.accumulate(_add_onto_windows(lambda slot: g_slot, x.data.shape, k,
+                                       stride, padding, 1, g_slot.dtype))
 
     return Var(out, (x,), bw)
 
@@ -329,6 +359,13 @@ class Module:
         raise NotImplementedError
 
 
+@cache
+def _circular_transform(k: int, dilation: int) -> TransformMatrix:
+    """B of a circular KxK kernel at `dilation`, built once and shared by
+    every layer of that extent, since a TransformMatrix is immutable."""
+    return build_transform(circular_points(k, dilation))
+
+
 class Conv2d(Module):
     """A convolution layer with a kernel shape.
 
@@ -343,8 +380,8 @@ class Conv2d(Module):
         if k % 2 == 0 or k < 1:
             raise ValueError(f"kernel size must be odd, got {k}")
         self.transform: TransformMatrix | None = (
-            build_transform(circular_points(k, dilation))
-            if mode is Mode.CIRCULAR else None)
+            _circular_transform(k, dilation) if mode is Mode.CIRCULAR
+            else None)
         self.stride = stride
         self.padding = padding
         self.dilation = dilation

@@ -29,12 +29,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr_init <= 0:
-            raise ValueError("lr_init must be positive")
+        # written so that a NaN fails each comparison
+        if not 0 < self.lr_init < math.inf:
+            raise ValueError("lr_init must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and at least 0")
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be at least 0")
 
 
 @dataclass

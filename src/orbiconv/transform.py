@@ -45,9 +45,13 @@ class TransformMatrix:
 
     @cached_property
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """B's nonzeros as row-major (row, col, coeff) arrays."""
-        return tuple(np.array(a) for a in zip(
+        """B's nonzeros as row-major (row, col, coeff) arrays, read-only,
+        since one TransformMatrix may serve many layers."""
+        arrays = tuple(np.array(a) for a in zip(
             *((i, c, v) for i, row in enumerate(self.rows) for c, v in row)))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def dense(self, dtype=np.float64) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=dtype)

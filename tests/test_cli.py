@@ -206,12 +206,26 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("robustness", "data.n_per_class = 0", "n_per_class must be at least 1"),
     ("train", "data.size = 4", "size must be at least 8"),
     ("robustness", "data.size = 4", "size must be at least 8"),
+    ("train", "train.lr_init = nan", "lr_init must be positive and finite"),
+    ("search", "search.lr_init = inf", "lr_init must be positive and finite"),
+    ("train", "train.warmup_epochs = -3", "warmup_epochs must be at least 0"),
+    ("train", "train.weight_decay = -5", "weight_decay must be finite"),
+    ("compare", "train.weight_decay = nan", "weight_decay must be finite"),
+    ("search", "search.weight_decay = -1", "weight_decay must be finite"),
+    ("train", "integrated.p_circular = 2", "p_circular must be in [0, 1]"),
+    ("robustness", "integrated.p_circular = -0.5",
+     "p_circular must be in [0, 1]"),
+    ("compare", "integrated.p_circular = nan", "p_circular must be in [0, 1]"),
 ], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
         "search-channels-0", "search-nodes-2", "search-cells-0",
         "search-cells-negative", "train-even-kernel",
         "robustness-unknown-shape", "robustness-trials-0",
         "train-n-per-class-0", "robustness-n-per-class-0", "train-size-4",
-        "robustness-size-4"])
+        "robustness-size-4", "train-lr-nan", "search-lr-inf",
+        "train-warmup-negative", "train-weight-decay-negative",
+        "compare-weight-decay-nan", "search-weight-decay-negative",
+        "train-p-circular-2", "robustness-p-circular-negative",
+        "compare-p-circular-nan"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):
     """A value out of its field's range exits 2 naming the field, before

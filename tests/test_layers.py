@@ -106,6 +106,21 @@ def test_square_mode_identity_transform_is_plain_conv():
     assert np.array_equal(out1, out2)
 
 
+def test_circular_layers_share_one_transform_per_extent():
+    """Circular layers of one (K, dilation) share one read-only transform;
+    another dilation gets its own."""
+    a = Conv2d(2, 3, 5, mode=Mode.CIRCULAR)
+    b = Conv2d(4, 4, 5, padding=2, mode=Mode.CIRCULAR, depthwise=True)
+    d2 = Conv2d(2, 3, 5, dilation=2, mode=Mode.CIRCULAR)
+    assert a.transform is b.transform
+    assert a.transform == build_transform(circular_points(5))
+    assert d2.transform is not a.transform
+    assert d2.transform == build_transform(circular_points(5, 2))
+    assert not any(arr.flags.writeable for arr in a.transform.nonzeros)
+    with pytest.raises(ValueError, match="read-only"):
+        a.transform.nonzeros[2][0] = 0.0
+
+
 def test_separable_equals_explicit_composition():
     rng = np.random.default_rng(12)
     dw = Conv2d(2, 2, 3, padding=1, depthwise=True, bias=False,
@@ -265,15 +280,32 @@ def _reference_pool(kind, x, g, k, stride, pad):
        c=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
        k=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3),
        pad=st.integers(0, 3), dtype=st.sampled_from([np.float32, np.float64]),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1),
+       fill=st.sampled_from(["normal", "signed_zeros", "nan"]))
 @example(kind="avg", n=2, c=3, h=3, w=3, k=3, stride=1, pad=0,
-         dtype=np.float32, seed=0)  # one output pixel per channel
+         dtype=np.float32, seed=0,
+         fill="normal")  # one output pixel per channel
 @example(kind="avg", n=1, c=1, h=5, w=5, k=5, stride=1, pad=0,
-         dtype=np.float32, seed=0)  # one output pixel in all
+         dtype=np.float32, seed=0, fill="normal")  # one output pixel in all
 @example(kind="max", n=1, c=2, h=4, w=4, k=3, stride=1, pad=1,
-         dtype=np.float64, seed=1)  # ties, and -inf borders
+         dtype=np.float64, seed=1, fill="normal")  # ties, and -inf borders
+# windows of -0.0 and +0.0 in both orders: the max pool keeps, and routes
+# the gradient to, the first slot of a tie
+@example(kind="max", n=2, c=2, h=6, w=6, k=3, stride=1, pad=1,
+         dtype=np.float32, seed=2, fill="signed_zeros")
+@example(kind="max", n=2, c=2, h=7, w=7, k=3, stride=2, pad=1,
+         dtype=np.float64, seed=3, fill="signed_zeros")
+@example(kind="max", n=2, c=2, h=7, w=7, k=3, stride=2, pad=0,
+         dtype=np.float32, seed=4, fill="signed_zeros")
+@example(kind="max", n=2, c=2, h=6, w=6, k=3, stride=1, pad=0,
+         dtype=np.float64, seed=5, fill="signed_zeros")
+# a NaN in a window gives NaN out, and its first NaN takes the gradient
+@example(kind="max", n=1, c=2, h=5, w=5, k=3, stride=1, pad=1,
+         dtype=np.float32, seed=6, fill="nan")
+@example(kind="max", n=1, c=2, h=5, w=5, k=3, stride=2, pad=1,
+         dtype=np.float64, seed=7, fill="nan")
 def test_pools_match_reference_bytes(kind, n, c, h, w, k, stride, pad, dtype,
-                                     seed):
+                                     seed, fill):
     """max_pool2d and avg_pool2d give, forward and backward, the bytes of the
     same ops over the fancy-index im2col and scatter-add col2im references,
     whatever the input's memory layout."""
@@ -281,6 +313,10 @@ def test_pools_match_reference_bytes(kind, n, c, h, w, k, stride, pad, dtype,
     x_data = rng.standard_normal((n, c, h, w)).astype(dtype)
     if seed % 2:
         x_data = np.round(x_data)  # ties: max pool picks the first slot
+    if fill == "signed_zeros":
+        x_data = np.copysign(0, x_data)  # every window a tie of +-0.0
+    elif fill == "nan":
+        x_data.flat[rng.integers(x_data.size)] = np.nan
     pool = max_pool2d if kind == "max" else avg_pool2d
     try:
         out_shape = pool(Var(x_data), k, stride, pad).data.shape
@@ -304,6 +340,21 @@ def test_pools_match_reference_bytes(kind, n, c, h, w, k, stride, pad, dtype,
         assert ref[1].tobytes() == x.grad.tobytes()
         assert ref[0].tobytes() == out.data.tobytes()
     assert runs[1:] == runs[:1] * 2
+
+
+@pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
+def test_pools_copy_no_patches(monkeypatch, pool):
+    """Both pools run forward and backward on tap windows alone: no im2col
+    patch copy and no col2im scatter."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a pool used the im2col engine")
+
+    for name in ("extract_patches", "scatter_patches", "_patch_matrix"):
+        monkeypatch.setattr(layers, name, must_not_run)
+    x = Var(np.random.default_rng(0).standard_normal((2, 3, 7, 7)))
+    out = pool(x, 3, 2, 1)
+    out.backward(np.ones_like(out.data))
+    assert x.grad.shape == x.data.shape and np.all(np.isfinite(x.grad))
 
 
 def _conv_and_grads(conv, x_data, w_data, seed, absolute=False, **kwargs):
