@@ -35,7 +35,7 @@ from .geometry import circular_points, square_points
 from .nas import SearchConfig, genotype_to_dot, search
 from .orbt import save_tensor
 from .train import NumericalError, train
-from .transform import build_transform
+from .transform import circular_transform
 
 
 def _cmd_geometry(args) -> int:
@@ -51,7 +51,7 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    b = build_transform(circular_points(args.size, args.dilation))
+    b = circular_transform(args.size, args.dilation)
     lines = ["row,col,value"] + [f"{i},{col},{val:.17g}"
                                  for i, col, val in zip(*b.nonzeros)]
     _write(args.out, "\n".join(lines) + "\n")
@@ -148,7 +148,7 @@ def _cmd_identity_check(args) -> int:
     worst = 0.0
     for k in (1, 3, 5, 7):
         for d in (1, 2):
-            b = build_transform(circular_points(k, d))
+            b = circular_transform(k, d)
             for _ in range(args.trials):
                 img = rng.standard_normal((16, 16))
                 wb = rng.standard_normal(k * k)

@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import circular_points, square_points
-from .transform import build_transform, reparameterize
+from .transform import circular_transform, reparameterize
 from .rng import stream
 
 
@@ -52,8 +52,8 @@ def _circular_footprint(kernel_size: int, outer_ring: bool) -> np.ndarray:
     geo = circular_points(kernel_size)
     m = (kernel_size - 1) // 2
     w = np.array([1.0 if (r == m) == outer_ring else 0.0 for r in geo.rings])
-    eff = reparameterize(w, build_transform(geo)).reshape(kernel_size, -1)
-    return eff / np.abs(eff).sum()
+    eff = reparameterize(w, circular_transform(kernel_size))
+    return eff.reshape(kernel_size, -1) / np.abs(eff).sum()
 
 
 def ring_template(kernel_size: int = 5) -> np.ndarray:

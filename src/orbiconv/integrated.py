@@ -30,7 +30,8 @@ class IntegratedConv(Conv2d):
     """Convolution layer whose kernel shape is sampled each iteration.
 
     The inherited `transform` is the circular matrix B; the square branch
-    convolves without a transform.
+    convolves without a transform. A `current_choice` of None averages the
+    two branches.
     """
 
     def __init__(self, cin: int, cout: int, k: int, *, stride: int = 1,
@@ -48,12 +49,10 @@ class IntegratedConv(Conv2d):
         self.seed = seed
         self.stream_id = stream_id
         self.eval_branch = eval_branch
-        self.current_choice = Mode.CIRCULAR
-        self._averaging = False
+        self.current_choice: Mode | None = Mode.CIRCULAR
 
     def draw_for_iteration(self, iteration: int) -> Mode:
         """Re-draw the active branch; deterministic in (seed, stream, iteration)."""
-        self._averaging = False
         # u lies in [0, 1): p = 1 always draws CIRCULAR and p = 0 SQUARE
         u = stream(self.seed, f"integrated/{self.stream_id}", iteration).random()
         self.current_choice = Mode.CIRCULAR if u < self.p_circular else Mode.SQUARE
@@ -61,12 +60,11 @@ class IntegratedConv(Conv2d):
 
     def enter_eval(self) -> None:
         """Pin the branch for evaluation per the configured eval rule."""
-        self._averaging = self.eval_branch is EvalBranch.AVERAGE
-        if not self._averaging:
-            self.current_choice = Mode(self.eval_branch.value)
+        self.current_choice = (None if self.eval_branch is EvalBranch.AVERAGE
+                               else Mode(self.eval_branch.value))
 
     def forward(self, x: Var) -> Var:
-        if self._averaging:
+        if self.current_choice is None:
             return scale(add(self._conv(x, None), self._conv(x, self.transform)),
                          0.5)
         return self._conv(x, self.transform

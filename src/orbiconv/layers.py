@@ -33,16 +33,14 @@ and a circular layer differ only in the fixed matrix.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import Var
-from .geometry import Mode, circular_points
+from .geometry import Mode
 from .transform import (
     TransformMatrix,
-    build_transform,
+    circular_transform,
     reparameterize,
     transform_gradient_pushforward,
 )
@@ -91,11 +89,11 @@ def _patch_matrix(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
                                 ).reshape(n, c, k * k, oh * ow)
 
 
-def extract_patches(x: np.ndarray, k: int, stride: int, pad: int, dil: int,
-                    pad_value: float = 0.0) -> np.ndarray:
+def extract_patches(x: np.ndarray, k: int, stride: int, pad: int,
+                    dil: int) -> np.ndarray:
     """(N, C, H, W) -> C-order (N, C, K*K, OH*OW) row-major kernel patches."""
     oh, ow = _out_shape(*x.shape[2:], k, stride, pad, dil)
-    return _patch_matrix(_pad(x, pad, pad_value), k, oh, ow, stride, dil)
+    return _patch_matrix(_pad(x, pad), k, oh, ow, stride, dil)
 
 
 def _add_onto_windows(term, in_shape: tuple[int, int, int, int], k: int,
@@ -359,13 +357,6 @@ class Module:
         raise NotImplementedError
 
 
-@cache
-def _circular_transform(k: int, dilation: int) -> TransformMatrix:
-    """B of a circular KxK kernel at `dilation`, built once and shared by
-    every layer of that extent, since a TransformMatrix is immutable."""
-    return build_transform(circular_points(k, dilation))
-
-
 class Conv2d(Module):
     """A convolution layer with a kernel shape.
 
@@ -380,7 +371,7 @@ class Conv2d(Module):
         if k % 2 == 0 or k < 1:
             raise ValueError(f"kernel size must be odd, got {k}")
         self.transform: TransformMatrix | None = (
-            _circular_transform(k, dilation) if mode is Mode.CIRCULAR
+            circular_transform(k, dilation) if mode is Mode.CIRCULAR
             else None)
         self.stride = stride
         self.padding = padding

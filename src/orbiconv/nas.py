@@ -14,6 +14,7 @@ each.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,22 +33,6 @@ from .layers import (
 )
 from .rng import stream
 from .train import SGD, TrainConfig, backprop, evaluate, lr_at
-
-PRIMITIVES = [
-    "sep_conv_3x3",
-    "sep_conv_5x5",
-    "dil_conv_3x3",
-    "dil_conv_5x5",
-    "circ_sep_conv_5x5",
-    "circ_dil_conv_5x5",
-    "max_pool_3x3",
-    "avg_pool_3x3",
-    "identity",
-    "zero",
-]
-
-CIRCULAR_OPS = {"circ_sep_conv_5x5", "circ_dil_conv_5x5"}
-
 
 class Identity(Module):
     def __init__(self, stride: int = 1):
@@ -111,28 +96,35 @@ class SepConv(Module):
         return self.affine(self.pointwise(self.depthwise(relu(x))))
 
 
+# name -> (K, dilation, kernel shape) of each separable conv op
+SEP_CONVS = {
+    "sep_conv_3x3": (3, 1, Mode.SQUARE),
+    "sep_conv_5x5": (5, 1, Mode.SQUARE),
+    "dil_conv_3x3": (3, 2, Mode.SQUARE),
+    "dil_conv_5x5": (5, 2, Mode.SQUARE),
+    "circ_sep_conv_5x5": (5, 1, Mode.CIRCULAR),
+    "circ_dil_conv_5x5": (5, 2, Mode.CIRCULAR),
+}
+# name -> constructor from the stride, for the ops without weights
+PLAIN_OPS = {
+    "max_pool_3x3": lambda stride: Pool("max", stride),
+    "avg_pool_3x3": lambda stride: Pool("avg", stride),
+    "identity": Identity,
+    "zero": Zero,
+}
+# alpha columns and stored genotypes index this order
+PRIMITIVES = [*SEP_CONVS, *PLAIN_OPS]
+CIRCULAR_OPS = {name for name, (_, _, mode) in SEP_CONVS.items()
+                if mode is Mode.CIRCULAR}
+
+
 def make_op(name: str, c: int, stride: int, rng, dtype=np.float32) -> Module:
-    if name == "sep_conv_3x3":
-        return SepConv(c, 3, stride, rng=rng, dtype=dtype)
-    if name == "sep_conv_5x5":
-        return SepConv(c, 5, stride, rng=rng, dtype=dtype)
-    if name == "dil_conv_3x3":
-        return SepConv(c, 3, stride, dilation=2, rng=rng, dtype=dtype)
-    if name == "dil_conv_5x5":
-        return SepConv(c, 5, stride, dilation=2, rng=rng, dtype=dtype)
-    if name == "circ_sep_conv_5x5":
-        return SepConv(c, 5, stride, mode=Mode.CIRCULAR, rng=rng, dtype=dtype)
-    if name == "circ_dil_conv_5x5":
-        return SepConv(c, 5, stride, dilation=2, mode=Mode.CIRCULAR, rng=rng,
+    if name in SEP_CONVS:
+        k, dilation, mode = SEP_CONVS[name]
+        return SepConv(c, k, stride, dilation=dilation, mode=mode, rng=rng,
                        dtype=dtype)
-    if name == "max_pool_3x3":
-        return Pool("max", stride)
-    if name == "avg_pool_3x3":
-        return Pool("avg", stride)
-    if name == "identity":
-        return Identity(stride)
-    if name == "zero":
-        return Zero(stride)
+    if name in PLAIN_OPS:
+        return PLAIN_OPS[name](stride)
     raise ValueError(f"unknown operation {name!r}")
 
 
@@ -155,9 +147,7 @@ class SearchCell(Module):
     def __init__(self, num_nodes: int, c: int, reduction: bool,
                  op_names: list[str], cell_id: int, seed: int,
                  dtype=np.float32):
-        self.num_nodes = num_nodes
         self.reduction = reduction
-        self.op_names = op_names
         self.edges = cell_edges(num_nodes)
         self.edge_ops: list[list[Module]] = []
         for i, j in self.edges:
@@ -176,15 +166,15 @@ class SearchCell(Module):
         self.combine_affine = ChannelAffine(c, dtype=dtype)
 
     def forward_cell(self, s0: Var, s1: Var, alphas: list[Var]) -> Var:
+        # edges come in (j, i) order, so each state an edge reads is complete;
+        # the first edge into node j starts its sum, later ones add onto it
         states = [s0, s1]
-        for j in range(2, self.num_nodes):
-            acc = None
-            for e, (i, jj) in enumerate(self.edges):
-                if jj != j:
-                    continue
-                y = mixed_op_forward(states[i], alphas[e], self.edge_ops[e])
-                acc = y if acc is None else add(acc, y)
-            states.append(acc)
+        for (i, j), alpha, ops in zip(self.edges, alphas, self.edge_ops):
+            y = mixed_op_forward(states[i], alpha, ops)
+            if j == len(states):
+                states.append(y)
+            else:
+                states[j] = add(states[j], y)
         out = concat(states[2:], axis=1)
         return self.combine_affine(self.combine(out))
 
@@ -210,6 +200,11 @@ class SearchConfig(TrainConfig):
                             ("channels", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        # written so that a NaN fails each comparison
+        if not 0 < self.alpha_lr < math.inf:
+            raise ValueError("alpha_lr must be positive and finite")
+        if not 0 <= self.alpha_weight_decay < math.inf:
+            raise ValueError("alpha_weight_decay must be finite and at least 0")
 
 
 class SearchNetwork(Module):
@@ -218,7 +213,6 @@ class SearchNetwork(Module):
     alpha table; the reduction cells share another."""
 
     def __init__(self, cfg: SearchConfig):
-        self.cfg = cfg
         c = cfg.channels
         seed = cfg.seed
         self.stem = Conv2d(cfg.in_channels, c, 3, padding=1, bias=False,
@@ -233,15 +227,10 @@ class SearchNetwork(Module):
                                  rng=stream(seed, "w/classifier"))
         n_edges = len(cell_edges(cfg.num_nodes))
         n_ops = len(cfg.op_names)
-        arng = stream(seed, "alpha")
-        self.alphas_normal = [
-            Var(1e-3 * arng.standard_normal(n_ops).astype(np.float64))
-            for _ in range(n_edges)
-        ]
-        self.alphas_reduce = [
-            Var(1e-3 * arng.standard_normal(n_ops).astype(np.float64))
-            for _ in range(n_edges)
-        ]
+        arng = stream(seed, "alpha")  # draws the normal table first
+        self.alphas_normal, self.alphas_reduce = (
+            [Var(1e-3 * arng.standard_normal(n_ops).astype(np.float64))
+             for _ in range(n_edges)] for _ in range(2))
 
     def arch_params(self) -> list[Var]:
         return list(self.alphas_normal) + list(self.alphas_reduce)
@@ -298,19 +287,13 @@ def discretize(alphas: np.ndarray, op_names: list[str], num_nodes: int,
     e = np.exp(z)
     soft = e / e.sum(axis=1, keepdims=True)
     nonzero = [k for k, name in enumerate(op_names) if name != "zero"]
-    nodes = []
-    for j in range(2, num_nodes):
-        cands = []
-        for idx, (i, jj) in enumerate(edges):
-            if jj != j:
-                continue
-            weights = soft[idx, nonzero]
-            best = int(np.argmax(weights))  # argmax returns the lowest index on ties
-            cands.append((float(weights[best]), i, op_names[nonzero[best]]))
-        if len(cands) < 2:
-            raise ValueError(f"node {j} has fewer than 2 candidate edges")
-        cands.sort(key=lambda t: (-t[0], t[1]))
-        nodes.append([(i, op) for _, i, op in cands[:2]])
+    cands: dict[int, list[tuple[float, int, str]]] = {}
+    for (i, j), weights in zip(edges, soft[:, nonzero]):
+        best = int(np.argmax(weights))  # argmax returns the lowest index on ties
+        cands.setdefault(j, []).append(
+            (float(weights[best]), i, op_names[nonzero[best]]))
+    nodes = [[(i, op) for _, i, op in sorted(c, key=lambda t: (-t[0], t[1]))[:2]]
+             for c in cands.values()]
     return CellGenotype(cell_type, nodes)
 
 

@@ -21,11 +21,11 @@ slot's summation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .geometry import Mode, SamplePoint, SamplePointSet
+from .geometry import Mode, SamplePoint, SamplePointSet, circular_points
 
 
 class TransformBuildError(ValueError):
@@ -104,6 +104,13 @@ def build_transform(geometry: SamplePointSet) -> TransformMatrix:
             )
         rows.append(tuple(entries))
     return TransformMatrix(k, d, tuple(rows))
+
+
+@cache
+def circular_transform(k: int, d: int = 1) -> TransformMatrix:
+    """B of a circular KxK kernel at dilation d, built once and shared by
+    every user of that extent, since a TransformMatrix is immutable."""
+    return build_transform(circular_points(k, d))
 
 
 def _b_product(x: np.ndarray, b: TransformMatrix, adjoint: bool) -> np.ndarray:

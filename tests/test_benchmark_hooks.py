@@ -11,7 +11,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from orbiconv.autodiff import Var
 from orbiconv.integrated import IntegratedConv
+from orbiconv.layers import softmax_cross_entropy
+from orbiconv.nas import PRIMITIVES, SearchConfig, SearchNetwork
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = ("layers", "transform", "autodiff", "nas", "train", "integrated",
@@ -50,3 +55,26 @@ def test_benchmark_hooks_install_and_uninstall(monkeypatch):
         step_clock.install()
         step_clock.uninstall()
     assert {m: dict(vars(mod)) for m, mod in pkg.items()} == before
+
+
+def test_tracer_sees_every_search_op(monkeypatch):
+    """One forward and backward of a supernet over every primitive records
+    a span for each kind of op it runs: the hooks reach the ops through the
+    bindings they are called by."""
+    instrument = _load("instrument", monkeypatch)
+    pkg = {m: importlib.import_module(f"orbiconv.{m}") for m in MODULES}
+    net = SearchNetwork(SearchConfig(num_nodes=3, num_cells=2, channels=2,
+                                     op_names=list(PRIMITIVES)))
+    x = np.random.default_rng(0).random((2, 1, 8, 8), dtype=np.float32)
+    tracer = instrument.Tracer()
+    tracer.install(pkg)
+    try:
+        loss = softmax_cross_entropy(net(Var(x, requires_grad=False)),
+                                     np.array([0, 1]))
+        loss.backward()
+    finally:
+        tracer.uninstall()
+    spans = {name for name, *_ in tracer.spans}
+    assert {"layers.conv2d.dw", "layers.conv2d.dense", "layers.max_pool2d",
+            "layers.avg_pool2d", "autodiff.weighted_sum",
+            "transform.reparameterize"} <= spans

@@ -212,6 +212,10 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("train", "train.weight_decay = -5", "weight_decay must be finite"),
     ("compare", "train.weight_decay = nan", "weight_decay must be finite"),
     ("search", "search.weight_decay = -1", "weight_decay must be finite"),
+    ("search", "search.alpha_lr = nan", "alpha_lr must be positive and finite"),
+    ("search", "search.alpha_lr = 0", "alpha_lr must be positive and finite"),
+    ("search", "search.alpha_weight_decay = -5",
+     "alpha_weight_decay must be finite"),
     ("train", "integrated.p_circular = 2", "p_circular must be in [0, 1]"),
     ("robustness", "integrated.p_circular = -0.5",
      "p_circular must be in [0, 1]"),
@@ -224,6 +228,8 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "robustness-size-4", "train-lr-nan", "search-lr-inf",
         "train-warmup-negative", "train-weight-decay-negative",
         "compare-weight-decay-nan", "search-weight-decay-negative",
+        "search-alpha-lr-nan", "search-alpha-lr-0",
+        "search-alpha-weight-decay-negative",
         "train-p-circular-2", "robustness-p-circular-negative",
         "compare-p-circular-nan"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,

@@ -13,6 +13,7 @@ from orbiconv.data import (
     ring_template,
     square_ring_template,
 )
+from orbiconv import transform
 from orbiconv.orbt import OrbtFormatError, load_tensor, save_tensor
 
 
@@ -42,6 +43,23 @@ def test_square_ring_template_is_shell_indicator():
 
 def test_templates_differ():
     assert not np.allclose(ring_template(5), square_ring_template(5))
+
+
+def test_planted_data_builds_b_once(monkeypatch):
+    """Planted-circular datasets read the one cached B of a circular 5x5
+    kernel, so a second dataset builds no transform."""
+    built, original = [], transform.build_transform
+
+    def counting(geometry):
+        built.append(geometry.kernel_size)
+        return original(geometry)
+
+    monkeypatch.setattr(transform, "build_transform", counting)
+    transform.circular_transform.cache_clear()
+    a = gen_synthetic(SynthKind.PLANTED_CIRCULAR, 2, 12, 0)
+    b = gen_synthetic(SynthKind.PLANTED_CIRCULAR, 2, 12, 1)
+    assert built == [5]
+    assert not np.array_equal(a.images, b.images)
 
 
 @pytest.mark.parametrize("kind", list(SynthKind))

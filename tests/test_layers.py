@@ -24,7 +24,8 @@ from orbiconv.layers import (
     scatter_patches,
     softmax_cross_entropy,
 )
-from orbiconv.transform import build_transform
+from orbiconv.nas import make_op
+from orbiconv.transform import build_transform, circular_transform
 
 
 def _const_var(arr):
@@ -119,6 +120,15 @@ def test_circular_layers_share_one_transform_per_extent():
     assert not any(arr.flags.writeable for arr in a.transform.nonzeros)
     with pytest.raises(ValueError, match="read-only"):
         a.transform.nonzeros[2][0] = 0.0
+
+
+@pytest.mark.parametrize("name, d", [("circ_sep_conv_5x5", 1),
+                                     ("circ_dil_conv_5x5", 2)])
+def test_circular_ops_hold_the_shared_transform(name, d):
+    """A circular search op's depthwise layer holds `circular_transform`'s
+    own object for its (K, dilation)."""
+    op = make_op(name, 2, 1, np.random.default_rng(0))
+    assert op.depthwise.transform is circular_transform(5, d)
 
 
 def test_separable_equals_explicit_composition():
@@ -237,12 +247,10 @@ def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
             with pytest.raises(ValueError, match="zero-sized output"):
                 scatter(g, x.shape, *args)
         return
-    for pad_value in (0.0, -np.inf):
-        got = extract_patches(x, *args, pad_value)
-        assert got.shape == ref.shape
-        assert got.tobytes() == reference_extract_patches(
-            x, *args, pad_value).tobytes()
-        assert got.flags.c_contiguous
+    got = extract_patches(x, *args)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    assert got.flags.c_contiguous
     g = rng.standard_normal(ref.shape).astype(dtype)
     gx = scatter_patches(g, x.shape, *args)
     assert gx.shape == x.shape and gx.dtype == dtype

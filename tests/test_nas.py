@@ -58,10 +58,20 @@ def test_float32_supernet_forward_stays_float32(monkeypatch):
 
 
 def test_primitive_roster():
-    assert len(PRIMITIVES) == 10
+    # alpha columns and stored genotypes index this order
+    assert PRIMITIVES == [
+        "sep_conv_3x3", "sep_conv_5x5", "dil_conv_3x3", "dil_conv_5x5",
+        "circ_sep_conv_5x5", "circ_dil_conv_5x5", "max_pool_3x3",
+        "avg_pool_3x3", "identity", "zero"]
     assert CIRCULAR_OPS == {"circ_sep_conv_5x5", "circ_dil_conv_5x5"}
-    assert CIRCULAR_OPS < set(PRIMITIVES)
-    assert "zero" in PRIMITIVES and "identity" in PRIMITIVES
+    # an op runs a circular B exactly when it is in CIRCULAR_OPS
+    for name in PRIMITIVES:
+        op = make_op(name, 2, 1, stream(0, f"op/{name}"))
+        depthwise = getattr(op, "depthwise", None)
+        circular = depthwise is not None and depthwise.transform is not None
+        assert circular == (name in CIRCULAR_OPS), name
+    with pytest.raises(ValueError, match="unknown operation"):
+        make_op("conv_7x1_1x7", 2, 1, stream(0, "op"))
 
 
 @pytest.mark.parametrize("name", PRIMITIVES)
