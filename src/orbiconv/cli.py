@@ -164,6 +164,20 @@ def _cmd_identity_check(args) -> int:
     return 0
 
 
+# argparse types; argparse names the flag when one raises
+def nonempty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
+def positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
@@ -178,13 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--size", type=int, required=True)
     g.add_argument("--mode", choices=["square", "circular"], default="circular")
     g.add_argument("--dilation", type=int, default=1)
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", type=nonempty, required=True)
     g.set_defaults(func=_cmd_geometry)
 
     t = sub.add_parser("transform", help="emit the transformation matrix as CSV")
     t.add_argument("--size", type=int, required=True)
     t.add_argument("--dilation", type=int, default=1)
-    t.add_argument("--out", required=True)
+    t.add_argument("--out", type=nonempty, required=True)
     t.set_defaults(func=_cmd_transform)
 
     c = sub.add_parser("check-grad", help="finite-difference checks of all layers")
@@ -194,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("gen-data", help="generate a synthetic dataset")
     d.add_argument("--kind", choices=[k.value for k in SynthKind],
                    default="ring_vs_cross")
-    d.add_argument("--n", type=int, default=40)
+    d.add_argument("--n", type=positive, default=40)
     d.add_argument("--size", type=int, default=16)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--out", required=True)
+    d.add_argument("--out", type=nonempty, required=True)
     d.set_defaults(func=_cmd_gen_data)
 
     tr = sub.add_parser("train", help="train a small CNN per config")
@@ -214,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = sub.add_parser("search", help="differentiable architecture search")
     se.add_argument("--config", required=True)
-    se.add_argument("--out", required=True)
-    se.add_argument("--dot")
+    se.add_argument("--out", type=nonempty, required=True)
+    se.add_argument("--dot", type=nonempty)
     se.set_defaults(func=_cmd_search)
 
     ic = sub.add_parser("identity-check", help="output-change identity sweeps")
     ic.add_argument("--seed", type=int, default=0)
-    ic.add_argument("--trials", type=int, default=20)
+    ic.add_argument("--trials", type=positive, default=20)
     ic.set_defaults(func=_cmd_identity_check)
 
     return p

@@ -408,6 +408,11 @@ class CompareConfig:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
 
     def __post_init__(self) -> None:
+        # compare_kernels keys its errors by (shape, K): no entry may repeat
+        for name in ("shapes", "kernel_sizes", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats an entry: {values}")
         for shape in self.shapes:
             kernel_shape(shape)
         if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):

@@ -49,7 +49,7 @@ class IntegratedConv(Conv2d):
         self.seed = seed
         self.stream_id = stream_id
         self.eval_branch = eval_branch
-        self.current_choice: Mode | None = Mode.CIRCULAR
+        self.enter_eval()
 
     def draw_for_iteration(self, iteration: int) -> Mode:
         """Re-draw the active branch; deterministic in (seed, stream, iteration)."""

@@ -179,26 +179,23 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
         gl = g.reshape(n, cout, -1)
         if bias is not None and bias.requires_grad:
             bias.accumulate(gl.sum(axis=(0, 2)))
-        if depthwise:
-            if weights.requires_grad:
+        if weights.requires_grad:
+            if depthwise:
                 cols = _patch_matrix(xp, k, oh, ow, stride, dilation)
                 g_eff = (gl[:, :, None] @ cols.transpose(0, 1, 3, 2)).sum(0)
-                if transform is not None:
-                    g_eff = transform_gradient_pushforward(g_eff, transform)
-                weights.accumulate(g_eff.reshape(weights.data.shape))
-            if x.requires_grad:
+            else:
+                g_eff = (gl @ patches.transpose(0, 2, 1)).sum(axis=0)
+            if transform is not None:
+                g_eff = transform_gradient_pushforward(
+                    g_eff.reshape(cout, cin, kk), transform)
+            weights.accumulate(g_eff.reshape(weights.data.shape))
+        if x.requires_grad:
+            if depthwise:
                 w_dw = w_eff.reshape(c, kk, 1, 1)
                 x.accumulate(_add_onto_windows(
                     lambda slot: w_dw[:, slot] * g, x.data.shape, k, stride,
                     padding, dilation, np.result_type(w_dw, g)))
-        else:
-            if weights.requires_grad:
-                g_eff = (gl @ patches.transpose(0, 2, 1)).sum(axis=0)
-                g_eff = g_eff.reshape(cout, cin, kk)
-                if transform is not None:
-                    g_eff = transform_gradient_pushforward(g_eff, transform)
-                weights.accumulate(g_eff.reshape(weights.data.shape))
-            if x.requires_grad:
+            else:
                 x.accumulate(scatter_patches(w_mat.T @ gl, x.data.shape, k,
                                              stride, padding, dilation))
 

@@ -187,11 +187,8 @@ class SearchConfig(TrainConfig):
     num_nodes: int = 5
     num_cells: int = 4          # last one is the reduction cell
     channels: int = 8
-    in_channels: int = 1
-    num_classes: int = 2
     alpha_lr: float = 3e-3
     alpha_weight_decay: float = 1e-3
-    alpha_betas: tuple[float, float] = (0.5, 0.999)
     op_names: list[str] = field(default_factory=lambda: list(PRIMITIVES))
 
     def __post_init__(self) -> None:
@@ -212,10 +209,10 @@ class SearchNetwork(Module):
     global average pooling and a linear classifier. Normal cells share one
     alpha table; the reduction cells share another."""
 
-    def __init__(self, cfg: SearchConfig):
+    def __init__(self, cfg: SearchConfig, in_channels: int, num_classes: int):
         c = cfg.channels
         seed = cfg.seed
-        self.stem = Conv2d(cfg.in_channels, c, 3, padding=1, bias=False,
+        self.stem = Conv2d(in_channels, c, 3, padding=1, bias=False,
                            rng=stream(seed, "w/stem"))
         self.stem_affine = ChannelAffine(c)
         self.cells: list[SearchCell] = []
@@ -223,7 +220,7 @@ class SearchNetwork(Module):
             reduction = idx == cfg.num_cells - 1 and cfg.num_cells > 1
             self.cells.append(SearchCell(cfg.num_nodes, c, reduction,
                                          cfg.op_names, idx, seed))
-        self.classifier = Linear(c, cfg.num_classes,
+        self.classifier = Linear(c, num_classes,
                                  rng=stream(seed, "w/classifier"))
         n_edges = len(cell_edges(cfg.num_nodes))
         n_ops = len(cfg.op_names)
@@ -319,11 +316,11 @@ def genotype_to_dot(g: CellGenotype) -> str:
 
 
 class Adam:
-    def __init__(self, params: list[Var], lr: float,
-                 betas: tuple[float, float], weight_decay: float):
+    b1, b2 = 0.5, 0.999  # the betas DARTS steps its alphas with
+
+    def __init__(self, params: list[Var], lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
         self.weight_decay = weight_decay
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -367,10 +364,12 @@ def search(train_split: Dataset, val_split: Dataset,
     only the group it steps: the weight phase runs with the alphas frozen
     and the alpha phase with the weights frozen. Deterministic per seed.
     """
-    net = SearchNetwork(cfg)
+    # the alpha phase's loss reads the val labels: count both splits' classes
+    net = SearchNetwork(cfg, train_split.images.shape[1],
+                        max(train_split.num_classes, val_split.num_classes))
     weights, arch = net.params(), net.arch_params()
     w_opt = SGD(weights, cfg.momentum, cfg.weight_decay)
-    a_opt = Adam(arch, cfg.alpha_lr, cfg.alpha_betas, cfg.alpha_weight_decay)
+    a_opt = Adam(arch, cfg.alpha_lr, cfg.alpha_weight_decay)
     opts = (w_opt, a_opt)
     report = SearchReport()
     n_train, n_val = len(train_split), len(val_split)

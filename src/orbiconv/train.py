@@ -13,6 +13,8 @@ from .data import Dataset
 from .layers import Module, softmax_cross_entropy, walk
 from .rng import stream
 
+_EVAL_BATCH = 64  # samples per forward in `evaluate`
+
 
 class NumericalError(RuntimeError):
     """Raised when the loss leaves the representable range."""
@@ -86,15 +88,15 @@ class SGD:
             p.zero_grad()
 
 
-def evaluate(model: Module, ds: Dataset, batch_size: int = 64) -> float:
+def evaluate(model: Module, ds: Dataset) -> float:
     """Classification error rate on a dataset. Every leaf of `model` is
     frozen meanwhile, so the forward keeps no graph."""
     wrong = 0
     with frozen([v for v in walk(model) if isinstance(v, Var)]):
-        for start in range(0, len(ds), batch_size):
-            x = Var(ds.images[start:start + batch_size], requires_grad=False)
+        for start in range(0, len(ds), _EVAL_BATCH):
+            x = Var(ds.images[start:start + _EVAL_BATCH], requires_grad=False)
             pred = model(x).data.argmax(axis=1)
-            wrong += int((pred != ds.labels[start:start + batch_size]).sum())
+            wrong += int((pred != ds.labels[start:start + _EVAL_BATCH]).sum())
     return wrong / max(1, len(ds))
 
 

@@ -64,7 +64,7 @@ def test_tracer_sees_every_search_op(monkeypatch):
     instrument = _load("instrument", monkeypatch)
     pkg = {m: importlib.import_module(f"orbiconv.{m}") for m in MODULES}
     net = SearchNetwork(SearchConfig(num_nodes=3, num_cells=2, channels=2,
-                                     op_names=list(PRIMITIVES)))
+                                     op_names=list(PRIMITIVES)), 1, 2)
     x = np.random.default_rng(0).random((2, 1, 8, 8), dtype=np.float32)
     tracer = instrument.Tracer()
     tracer.install(pkg)

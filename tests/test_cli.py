@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +221,10 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("robustness", "integrated.p_circular = -0.5",
      "p_circular must be in [0, 1]"),
     ("compare", "integrated.p_circular = nan", "p_circular must be in [0, 1]"),
+    ("compare", "compare.shapes = square,square", "shapes repeats an entry"),
+    ("compare", "compare.kernel_sizes = 3,5,3",
+     "kernel_sizes repeats an entry"),
+    ("compare", "compare.seeds = 1,1", "seeds repeats an entry"),
 ], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
         "search-channels-0", "search-nodes-2", "search-cells-0",
         "search-cells-negative", "train-even-kernel",
@@ -231,7 +236,8 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "search-alpha-lr-nan", "search-alpha-lr-0",
         "search-alpha-weight-decay-negative",
         "train-p-circular-2", "robustness-p-circular-negative",
-        "compare-p-circular-nan"])
+        "compare-p-circular-nan", "compare-repeated-shape",
+        "compare-repeated-kernel-size", "compare-repeated-seed"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):
     """A value out of its field's range exits 2 naming the field, before
@@ -325,6 +331,34 @@ def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys,
     assert err.startswith("cannot write output: ") and path in err
 
 
+def _readme_keys() -> dict[str, dict[str, str]]:
+    """README's config key table: {key: {command: default, or "-" when
+    the command does not read the key}}."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("| key |"))
+
+    def cells(line):
+        return [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+
+    commands = cells(lines[start])[1:]
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, *row = cells(line)
+        table[key] = dict(zip(commands, row, strict=True))
+    return table
+
+
+_README_KEYS = _readme_keys()
+
+
+def _key(line: str) -> str:
+    return line.split("=", 1)[0].strip()
+
+
 _EVERY_KEY = {
     "data": ["data.kind = oriented_bars", "data.n_per_class = 2",
              "data.size = 8"],
@@ -344,6 +378,8 @@ _EVERY_KEY = {
                "search.batch_size = 2", "search.lr_init = 0.01",
                "search.weight_decay = 0.001", "search.alpha_lr = 0.01",
                "search.alpha_weight_decay = 0.001", "search.seed = 1"],
+    "seed": ["train.seed = 1"],
+    "out": ["out.dir = OUT"],
 }
 
 
@@ -355,11 +391,91 @@ _EVERY_KEY = {
     ("search", ["data", "search"]),
 ])
 def test_command_accepts_every_key_it_reads(tmp_path, command, sections):
-    keys = dict(_EVERY_KEY, seed=["train.seed = 1"],
-                out=[f"out.dir = {tmp_path / 'out'}"])
+    lines = [line for s in sections for line in _EVERY_KEY[s]]
+    assert {_key(line) for line in lines} == {
+        key for key, cells in _README_KEYS.items() if cells[command] != "-"}
     cfg = tmp_path / "every.cfg"
-    cfg.write_text("".join(f"{line}\n" for s in sections for line in keys[s]))
+    cfg.write_text("".join(line.replace("OUT", str(tmp_path / "out")) + "\n"
+                           for line in lines))
     argv = [command, "--config", str(cfg)]
     if command == "search":
         argv += ["--out", str(tmp_path / "genotype.json")]
     assert main(argv) == 0
+
+
+def test_every_key_covers_exactly_the_readme_table():
+    assert sorted(_key(line) for lines in _EVERY_KEY.values()
+                  for line in lines) == sorted(_README_KEYS)
+    assert set(next(iter(_README_KEYS.values()))) == {
+        "train", "robustness", "compare", "search"}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for key, cells in _README_KEYS.items() for command in cells
+], ids=lambda v: v)
+def test_readme_key_table_is_what_each_command_checks(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      key):
+    """Per README's key table: a key the command reads, set to a value that
+    does not convert or is an unknown choice, exits 2 naming the key or the
+    value (an `out.dir` that is a file, naming the path); a key marked `-`
+    exits 2 as unknown. Either way before any data or output."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before checking the config")
+
+    for module, name in ((cli, "train"), (cli, "search"),
+                         (cli, "compare_kernels"),
+                         (experiments, "gen_synthetic")):
+        monkeypatch.setattr(module, name, must_not_run)
+    out, genotype = tmp_path / "out", tmp_path / "genotype.json"
+    (tmp_path / "file").write_text("")
+    if _README_KEYS[key][command] == "-":
+        line = next(line for lines in _EVERY_KEY.values() for line in lines
+                    if _key(line) == key).replace("OUT", str(out))
+        named = [f"unknown config key(s): {key}"]
+    elif key == "out.dir":
+        line = f"out.dir = {tmp_path / 'file'}"
+        named = [str(tmp_path / "file")]
+    else:
+        line = f"{key} = bogus"
+        named = [key, "'bogus'"]
+    reads_out_dir = _README_KEYS["out.dir"][command] != "-"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{line}\n" + (f"out.dir = {out}\n"
+                                  if reads_out_dir and key != "out.dir"
+                                  else ""))
+    argv = [command, "--config", str(cfg)]
+    if command == "search":
+        argv += ["--out", str(genotype)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert any(name in err for name in named) and "Traceback" not in err
+    assert not out.exists() and not genotype.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["search", "--config", "CFG", "--out", ""], "--out"),
+    (["search", "--config", "CFG", "--out", "TMP/g.json", "--dot", ""],
+     "--dot"),
+    (["identity-check", "--trials", "0"], "--trials"),
+    (["gen-data", "--n", "0", "--out", "TMP/ds"], "--n"),
+], ids=["search-empty-out", "search-empty-dot", "identity-check-0-trials",
+        "gen-data-0-samples"])
+def test_empty_path_or_zero_count_exits_2_naming_the_flag(
+        tmp_path, capsys, monkeypatch, argv, flag):
+    """An empty output path or a count below 1 is a usage error: exit 2
+    naming the flag, before any search, check or data."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before checking its flags")
+
+    for name in ("load_config", "search", "gen_synthetic",
+                 "verify_delta_identity"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    argv = [a.replace("CFG", str(tmp_path / "c.cfg"))
+            .replace("TMP", str(tmp_path)) for a in argv]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ from orbiconv.experiments import SmallCNN
 from orbiconv.geometry import Mode
 from orbiconv.integrated import EvalBranch, IntegratedConv
 from orbiconv.layers import Conv2d
-from orbiconv.train import TrainConfig, train
+from orbiconv.train import TrainConfig, evaluate, train
 
 
 def test_branches_share_one_weight_tensor():
@@ -84,6 +84,20 @@ def test_eval_branch_pinning():
     layer.current_choice = Mode.CIRCULAR
     layer.enter_eval()
     assert layer.current_choice is Mode.SQUARE
+
+
+@pytest.mark.parametrize("branch, shape", [(EvalBranch.SQUARE, "square"),
+                                           (EvalBranch.CIRCULAR, "circle")])
+def test_untrained_layer_evaluates_its_eval_branch(branch, shape):
+    """Before any training, an integrated SmallCNN already evaluates the
+    branch its `eval_branch` names: byte for byte the plain model of that
+    kernel shape and seed."""
+    ds = gen_synthetic(SynthKind.ORIENTED_BARS, 4, 12, 3)
+    x = Var(ds.images, requires_grad=False)
+    integrated = SmallCNN(shape="integrated", eval_branch=branch, seed=5)
+    plain = SmallCNN(shape=shape, seed=5)
+    assert integrated(x).data.tobytes() == plain(x).data.tobytes()
+    assert evaluate(integrated, ds) == evaluate(plain, ds)
 
 
 def test_eval_average_is_mean_of_branches():

@@ -47,7 +47,7 @@ def test_float32_supernet_forward_stays_float32(monkeypatch):
 
     monkeypatch.setattr(layers, "conv2d", conv2d)
     net = SearchNetwork(SearchConfig(num_nodes=4, num_cells=2, channels=8,
-                                     op_names=list(PRIMITIVES)))
+                                     op_names=list(PRIMITIVES)), 1, 2)
     x = np.random.default_rng(0).random((2, 1, 16, 16), dtype=np.float32)
     logits = net(Var(x, requires_grad=False))
     assert logits.data.dtype == np.float32
@@ -233,7 +233,7 @@ def test_genotype_dot_rendering():
 
 def test_network_forward_shapes_and_param_split():
     cfg = SearchConfig(num_nodes=4, num_cells=2, channels=4, epochs=1)
-    net = SearchNetwork(cfg)
+    net = SearchNetwork(cfg, 1, 2)
     x = _const(np.random.default_rng(8).standard_normal((2, 1, 12, 12)))
     out = net(x)
     assert out.data.shape == (2, 2)
@@ -291,6 +291,31 @@ def test_search_with_circular_ops_removed():
     assert ops.isdisjoint(CIRCULAR_OPS)
 
 
+@pytest.mark.parametrize("where", ["train", "val"])
+def test_search_sizes_its_classifier_from_both_splits(where):
+    """A third class in either split gives a 3-output classifier: the
+    weight phase reads the train labels and the alpha phase the val ones."""
+    tr, va = _tiny_splits()
+    ds = tr if where == "train" else va
+    ds.labels[::3] = 2
+    cfg = SearchConfig(num_nodes=3, num_cells=1, channels=4, epochs=1,
+                       batch_size=8, seed=0)
+    genotypes, report, net = search(tr, va, cfg)
+    assert net.classifier.weights.data.shape == (3, 4)
+    assert np.isfinite(report.val_loss).all() and set(genotypes) == {
+        "normal", "reduction"}
+
+
+def test_search_sizes_its_stem_from_the_train_split():
+    tr, va = (Dataset(np.repeat(d.images, 3, axis=1), d.labels, d.split_tag)
+              for d in _tiny_splits())
+    cfg = SearchConfig(num_nodes=3, num_cells=1, channels=4, epochs=1,
+                       batch_size=8, seed=0)
+    _, report, net = search(tr, va, cfg)
+    assert net.stem.weights.data.shape == (4, 3, 3, 3)
+    assert np.isfinite(report.val_loss).all()
+
+
 def test_search_config_is_a_validated_train_config():
     assert issubclass(SearchConfig, TrainConfig)
     redeclared = set(SearchConfig.__annotations__) & {
@@ -314,11 +339,10 @@ def test_each_search_phase_differentiates_only_what_it_steps():
     idx = np.arange(4)
     grads = {}
     for freeze in (False, True):
-        net = SearchNetwork(cfg)
+        net = SearchNetwork(cfg, 1, 2)
         weights, arch = net.params(), net.arch_params()
         w_opt = SGD(weights, cfg.momentum, cfg.weight_decay)
-        opts = (w_opt, Adam(arch, cfg.alpha_lr, cfg.alpha_betas,
-                            cfg.alpha_weight_decay))
+        opts = (w_opt, Adam(arch, cfg.alpha_lr, cfg.alpha_weight_decay))
         steps = []
         for stepped, other, ds in ((weights, arch, tr), (arch, weights, va)):
             with frozen(other if freeze else []):

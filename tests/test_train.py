@@ -149,7 +149,7 @@ from orbiconv.nas import SearchConfig, SearchNetwork
 from orbiconv.train import evaluate
 
 ds = gen_synthetic(SynthKind.PLANTED_CIRCULAR, 32, 16, 0)
-print(evaluate(SearchNetwork(SearchConfig()), ds))
+print(evaluate(SearchNetwork(SearchConfig(), 1, 2), ds))
 """
 
 
