@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, SynthKind, gen_synthetic
-from .geometry import Mode
+from .geometry import Mode, check_kernel_size
 from .integrated import EvalBranch, IntegratedConv
 from .autodiff import relu
 from .layers import (
@@ -408,16 +408,16 @@ class CompareConfig:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
 
     def __post_init__(self) -> None:
-        # compare_kernels keys its errors by (shape, K): no entry may repeat
-        for name in ("shapes", "kernel_sizes", "seeds"):
-            values = getattr(self, name)
+        # compare_kernels keys its errors by (shape, K): no entry may repeat,
+        # and two names of one kernel shape are one entry
+        keys = {"shapes": [kernel_shape(shape) for shape in self.shapes],
+                "kernel_sizes": self.kernel_sizes, "seeds": self.seeds}
+        for name, values in keys.items():
             if len(set(values)) < len(values):
-                raise ValueError(f"{name} repeats an entry: {values}")
-        for shape in self.shapes:
-            kernel_shape(shape)
-        if any(k < 1 or k % 2 == 0 for k in self.kernel_sizes):
-            raise ValueError(
-                f"kernel_sizes must be odd and >= 1: {self.kernel_sizes}")
+                raise ValueError(
+                    f"{name} repeats an entry: {getattr(self, name)}")
+        for k in self.kernel_sizes:
+            check_kernel_size(k, "kernel_sizes")
 
 
 def compare_config(cfg: Config) -> CompareConfig:
@@ -438,9 +438,7 @@ class TrainSetup:
 
     def __post_init__(self) -> None:
         kernel_shape(self.model["shape"])
-        k = self.model["kernel_size"]
-        if k < 1 or k % 2 == 0:
-            raise ValueError(f"model.kernel_size must be odd and >= 1: {k}")
+        check_kernel_size(self.model["kernel_size"], "model.kernel_size")
 
     def build(self) -> tuple[SmallCNN, Dataset, Dataset]:
         """SmallCNN and the train/test splits of the train seed."""

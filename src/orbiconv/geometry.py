@@ -51,9 +51,15 @@ class SamplePointSet:
             )
 
 
+def check_kernel_size(k: int, name: str = "kernel_size") -> None:
+    """The one kernel-size rule: a kernel has a center slot, so its extent
+    `name` is odd and at least 1."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"{name} must be odd and >= 1, got {k}")
+
+
 def _check_args(kernel_size: int, dilation: int) -> None:
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        raise ValueError(f"kernel_size must be odd and >= 1, got {kernel_size}")
+    check_kernel_size(kernel_size)
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
 

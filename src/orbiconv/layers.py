@@ -1,28 +1,39 @@
 """Convolution, pooling and dense layers over the autodiff engine.
 
-Every conv and pool reads the padded input through one strided view,
+Dense convs and pools read the padded input through one strided view,
 `_tap_windows`: kernel slot (kr, kc) reads the pixel displaced by
 (row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
-flattening used by the geometry and transform modules. Patches have one
-memory layout, a C-order (N, C, K*K, OH*OW) copy of that view
-(`_patch_matrix`). Dense convs read them through `extract_patches` and run
-as BLAS matmuls on them. Depthwise convs run as one BLAS product per sample
-and channel on them, for the output and the weight gradient; the forward
-copies the patches a few samples at a time (`_DW_SLICE_BYTES`), which moves
-no bit, since each product is its own BLAS call. Pools copy no patches:
-they fold the windows themselves in slot order, a sum from a zero start or
-a running `np.maximum`. Every input gradient adds one term per slot onto
-the window that slot read, slots in order from a zero start
+flattening used by the geometry and transform modules. Dense convs copy it
+into one C-order (N, C, K*K, OH*OW) patch matrix (`_patch_matrix`, read
+through `extract_patches`) and run as BLAS matmuls on it. Pools copy no
+patches: they fold the windows themselves in slot order, a sum from a zero
+start or a running `np.maximum`. Their input gradients add one term per
+slot onto the window that slot read, slots in order from a zero start
 (`_add_onto_windows`): col2im (`scatter_patches`) a dense conv's patch
-gradient, the depthwise conv the weighted output gradient, the avg pool the
-output gradient over K*K, and the max pool the output gradient on the first
-slot that holds the maximum and +0.0 on the others.
+gradient, the avg pool the output gradient over K*K, and the max pool the
+output gradient on the first slot that holds the maximum and +0.0 on the
+others.
+
+Depthwise convs copy no patches. Each output row reads K padded input
+rows, one per kernel row (`_row_windows`); laid end to end, they times a
+banded (K*Wp, OW) matrix of the channel's kernel (`_band`) give the row.
+So the forward is a K-row copy of the input and one BLAS product per
+sample and channel; the input gradient is the output gradient times the
+transposed band, then a 0/1 matrix product that adds each row's gradient
+onto the padded row it came from (`_row_adjoint`); the weight gradient is,
+per kernel row, one BLAS product per channel of the output gradient
+against the rows that kernel row read, summed along each band diagonal
+(`_band_taps`). The largest temporary is K times the padded input. Since
+no product spans two samples, no bit depends on the batch. The band's and
+the adjoint's zeros take part in the sums, so a non-finite input value
+reaches every output of its rows (0 * inf is NaN), and a non-finite output
+gradient every input gradient of its sample and channel; the loss check of
+a training step stops such a step first.
 
 Against the fancy-index, scatter-add and einsum references in
-`tests/conftest.py`: pools keep every byte; the depthwise input gradient
-keeps the bytes, except on a one-element output; dense and depthwise
-outputs and weight gradients match to rounding. No bit depends on the
-input's memory layout, nor on the BLAS thread count.
+`tests/conftest.py`: pools keep every byte; dense and depthwise outputs and
+both gradients match to rounding. No bit depends on the input's memory
+layout, nor on the BLAS thread count.
 
 Circular layers hold a TransformMatrix and re-parameterize their weights
 once per forward pass (effective kernel = B^T @ w); the backward pass maps
@@ -37,17 +48,13 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import Var
-from .geometry import Mode
+from .geometry import Mode, check_kernel_size
 from .transform import (
     TransformMatrix,
     circular_transform,
     reparameterize,
     transform_gradient_pushforward,
 )
-
-
-# bytes of the patch copy one slice of a depthwise forward may build
-_DW_SLICE_BYTES = 1 << 22
 
 
 def _out_shape(h: int, w: int, k: int, stride: int, pad: int,
@@ -94,6 +101,49 @@ def extract_patches(x: np.ndarray, k: int, stride: int, pad: int,
     """(N, C, H, W) -> C-order (N, C, K*K, OH*OW) row-major kernel patches."""
     oh, ow = _out_shape(*x.shape[2:], k, stride, pad, dil)
     return _patch_matrix(_pad(x, pad), k, oh, ow, stride, dil)
+
+
+def _row_windows(xp: np.ndarray, k: int, oh: int, stride: int,
+                 dil: int) -> np.ndarray:
+    """(N, C, OH, K, Wp) view of a padded input: [:, :, i, kr] is the
+    padded row dil*kr + stride*i, which kernel row kr reads for output
+    row i."""
+    sn, sc, sh, sw = xp.strides
+    return as_strided(xp, xp.shape[:2] + (oh, k, xp.shape[3]),
+                      (sn, sc, stride * sh, dil * sh, sw))
+
+
+def _band_taps(m: np.ndarray, k: int, stride: int, dil: int,
+               writeable: bool = False) -> np.ndarray:
+    """(C, K, K, OW) view of a (C, K, Wp, OW) stack of band matrices, at any
+    strides: [c, kr, kc, j] is m[c, kr, stride*j + dil*kc, j], the entry
+    that pairs padded column stride*j + dil*kc with output column j."""
+    sc, sr, sp, sj = m.strides
+    return as_strided(m, (m.shape[0], k, k, m.shape[3]),
+                      (sc, sr, dil * sp, stride * sp + sj), writeable=writeable)
+
+
+def _band(w: np.ndarray, wp: int, ow: int, stride: int,
+          dil: int) -> np.ndarray:
+    """(C, K*Wp, OW) banded matrices of a (C, K, K) depthwise kernel: the
+    K padded rows an output row reads, laid end to end, times [c] give
+    that output row, so [c, kr*Wp + stride*j + dil*kc, j] = w[c, kr, kc]
+    and every other entry is zero."""
+    c, k = w.shape[:2]
+    band = np.zeros((c, k, wp, ow), w.dtype)
+    _band_taps(band, k, stride, dil, writeable=True)[...] = w[..., None]
+    return band.reshape(c, k * wp, ow)
+
+
+def _row_adjoint(k: int, oh: int, hp: int, stride: int, dil: int,
+                 dtype) -> np.ndarray:
+    """(Hp, OH*K) 0/1 matrix that adds each (output row i, kernel row kr)
+    gradient row onto the padded row dil*kr + stride*i it came from: the
+    adjoint of `_row_windows` as one matrix product."""
+    adj = np.zeros((hp, oh, k), dtype)
+    i, kr = np.ogrid[:oh, :k]
+    adj[dil * kr + stride * i, i, kr] = 1
+    return adj.reshape(hp, oh * k)
 
 
 def _add_onto_windows(term, in_shape: tuple[int, int, int, int], k: int,
@@ -152,17 +202,16 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
 
     oh, ow = _out_shape(h, w, k, stride, padding, dilation)
     if depthwise:
-        # one BLAS product per (sample, channel) over its C-order patch
-        # matrix, built a few samples at a time so that no patch copy
-        # outgrows _DW_SLICE_BYTES; the slicing moves no bit
-        xp = _pad(x.data, padding)
-        w_row = w_eff.reshape(1, c, 1, kk)
-        out = np.empty((n, c, 1, oh * ow), np.result_type(w_row, xp))
-        step = max(1, _DW_SLICE_BYTES // (c * kk * oh * ow * xp.itemsize))
-        for s in range(0, n, step):
-            np.matmul(w_row, _patch_matrix(xp[s:s + step], k, oh, ow, stride,
-                                           dilation), out=out[s:s + step])
-        out = out.reshape(n, c, oh, ow)
+        # the K padded rows each output row reads, copied end to end, times
+        # the channel's band: one BLAS product per sample and channel, so
+        # no bit depends on the batch
+        dtype = np.result_type(x.data, w_eff)
+        xp = _pad(x.data.astype(dtype, copy=False), padding)
+        hp, wp = xp.shape[2:]
+        band = _band(w_eff.reshape(c, k, k).astype(dtype, copy=False), wp,
+                     ow, stride, dilation)
+        rows = np.ascontiguousarray(_row_windows(xp, k, oh, stride, dilation))
+        out = rows.reshape(n, c, oh, k * wp) @ band
     else:
         # the C-order patch matrix reshapes to (N, C*K*K, OH*OW) as a view,
         # so every gemm operand is C-contiguous; the backward reuses it
@@ -181,8 +230,22 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
             bias.accumulate(gl.sum(axis=(0, 2)))
         if weights.requires_grad:
             if depthwise:
-                cols = _patch_matrix(xp, k, oh, ow, stride, dilation)
-                g_eff = (gl[:, :, None] @ cols.transpose(0, 1, 3, 2)).sum(0)
+                # prod[c, kr, j, p] sums g[n, c, i, j] * xp[n, c, d*kr + s*i, p]
+                # over the batch and the output rows: per kernel row, one
+                # BLAS product per channel against a copy of the rows it
+                # read; slot (kr, kc) sums its band diagonal p = s*j + d*kc
+                # over j
+                g_cn = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(
+                    c, n * oh, ow)
+                prod = np.empty((c, k, ow, wp), np.result_type(g, xp))
+                windows = _row_windows(xp, k, oh, stride, dilation)
+                for kr in range(k):
+                    rows_kr = np.ascontiguousarray(
+                        windows[:, :, :, kr].transpose(1, 0, 2, 3))
+                    np.matmul(g_cn.transpose(0, 2, 1),
+                              rows_kr.reshape(c, n * oh, wp), out=prod[:, kr])
+                g_eff = _band_taps(prod.transpose(0, 1, 3, 2), k, stride,
+                                   dilation).sum(axis=3)
             else:
                 g_eff = (gl @ patches.transpose(0, 2, 1)).sum(axis=0)
             if transform is not None:
@@ -191,10 +254,16 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
             weights.accumulate(g_eff.reshape(weights.data.shape))
         if x.requires_grad:
             if depthwise:
-                w_dw = w_eff.reshape(c, kk, 1, 1)
-                x.accumulate(_add_onto_windows(
-                    lambda slot: w_dw[:, slot] * g, x.data.shape, k, stride,
-                    padding, dilation, np.result_type(w_dw, g)))
+                # the forward's adjoint, one BLAS product per sample and
+                # channel for each factor: the output gradient times the
+                # transposed band gives each copied row's gradient, and the
+                # 0/1 row adjoint adds those onto the padded rows they read
+                band_t = np.ascontiguousarray(band.transpose(0, 2, 1))
+                g_rows = (g @ band_t).reshape(n, c, oh * k, wp)
+                gxp = _row_adjoint(k, oh, hp, stride, dilation,
+                                   g_rows.dtype) @ g_rows
+                x.accumulate(gxp[:, :, padding:padding + h,
+                                 padding:padding + w])
             else:
                 x.accumulate(scatter_patches(w_mat.T @ gl, x.data.shape, k,
                                              stride, padding, dilation))
@@ -365,8 +434,7 @@ class Conv2d(Module):
                  padding: int = 0, dilation: int = 1, mode: Mode = Mode.SQUARE,
                  depthwise: bool = False, bias: bool = True,
                  rng=None, dtype=np.float32):
-        if k % 2 == 0 or k < 1:
-            raise ValueError(f"kernel size must be odd, got {k}")
+        check_kernel_size(k)
         self.transform: TransformMatrix | None = (
             circular_transform(k, dilation) if mode is Mode.CIRCULAR
             else None)

@@ -32,7 +32,8 @@ from .layers import (
     max_pool2d,
 )
 from .rng import stream
-from .train import SGD, TrainConfig, backprop, evaluate, lr_at
+from .train import (SGD, TrainConfig, backprop, check_last_step, evaluate,
+                    lr_at)
 
 class Identity(Module):
     def __init__(self, stride: int = 1):
@@ -399,6 +400,7 @@ def search(train_split: Dataset, val_split: Dataset,
         report.val_err.append(evaluate(net, val_split))
         report.alpha_normal_trace.append(net.alpha_matrix("normal"))
         report.alpha_reduce_trace.append(net.alpha_matrix("reduction"))
+    check_last_step(weights + arch)
     genotypes = {t: discretize(net.alpha_matrix(t), cfg.op_names,
                                cfg.num_nodes, t)
                  for t in ("normal", "reduction")}

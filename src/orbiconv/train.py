@@ -118,6 +118,14 @@ def backprop(model: Module, ds: Dataset, idx: np.ndarray, opts,
     return float(loss.data)
 
 
+def check_last_step(params: list[Var]) -> None:
+    """Raises NumericalError if a parameter is not finite after a run's last
+    step: the loss check of `backprop` comes before each step, so it cannot
+    see an overflow of the last one."""
+    if not all(np.isfinite(p.data).all() for p in params):
+        raise NumericalError("non-finite parameters after the last step")
+
+
 def train(model: Module, train_ds: Dataset, test_ds: Dataset,
           cfg: TrainConfig) -> TrainReport:
     """Train `model` in place; returns the per-epoch report.
@@ -149,4 +157,5 @@ def train(model: Module, train_ds: Dataset, test_ds: Dataset,
             layer.enter_eval()
         report.test_err.append(evaluate(model, test_ds))
         report.lr.append(lr)
+    check_last_step(params)
     return report

@@ -222,6 +222,7 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
      "p_circular must be in [0, 1]"),
     ("compare", "integrated.p_circular = nan", "p_circular must be in [0, 1]"),
     ("compare", "compare.shapes = square,square", "shapes repeats an entry"),
+    ("compare", "compare.shapes = circle,circular", "shapes repeats an entry"),
     ("compare", "compare.kernel_sizes = 3,5,3",
      "kernel_sizes repeats an entry"),
     ("compare", "compare.seeds = 1,1", "seeds repeats an entry"),
@@ -237,6 +238,7 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "search-alpha-weight-decay-negative",
         "train-p-circular-2", "robustness-p-circular-negative",
         "compare-p-circular-nan", "compare-repeated-shape",
+        "compare-aliased-shape",
         "compare-repeated-kernel-size", "compare-repeated-seed"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):

@@ -457,47 +457,80 @@ def test_dense_conv_matches_einsum_reference(n, cin, cout, h, w, k, stride,
        circular=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(n=2, c=3, h=4, w=5, k=1, stride=1, dil=1, pad=2,
          dtypes=(np.float32, np.float32), circular=False,
-         seed=3)  # K = 1 with padding: borders must be +0.0, as in einsum
+         seed=3)  # K = 1 with padding
+@example(n=3, c=2, h=5, w=4, k=1, stride=2, dil=1, pad=1,
+         dtypes=(np.float64, np.float64), circular=False,
+         seed=7)  # K = 1 at stride 2: a band of one diagonal
 @example(n=1, c=1, h=5, w=5, k=5, stride=1, dil=1, pad=0,
          dtypes=(np.float64, np.float32), circular=True,
          seed=4)  # one output element, float64 input on float32 weights
+@example(n=2, c=3, h=9, w=8, k=5, stride=1, dil=1, pad=2,
+         dtypes=(np.float64, np.float32), circular=True,
+         seed=8)  # float64 input on float32 weights, many outputs
 @example(n=2, c=3, h=12, w=11, k=3, stride=2, dil=3, pad=4,
          dtypes=(np.float32, np.float32), circular=True,
          seed=5)  # stride and dilation both above 1
+@example(n=2, c=3, h=12, w=12, k=5, stride=2, dil=2, pad=4,
+         dtypes=(np.float32, np.float32), circular=True,
+         seed=9)  # the reduction cell's dil_conv_5x5
+@example(n=2, c=2, h=5, w=6, k=3, stride=1, dil=2, pad=6,
+         dtypes=(np.float32, np.float32), circular=False,
+         seed=10)  # pad > d*(K-1): outer outputs read only zero borders
 @example(n=3, c=2, h=7, w=6, k=3, stride=1, dil=1, pad=0,
          dtypes=(np.float32, np.float32), circular=False,
          seed=6)  # unpadded input, checked with the batch innermost too
 def test_depthwise_conv_matches_reference_bytes(n, c, h, w, k, stride, dil,
                                                 pad, dtypes, circular, seed):
     """The depthwise conv agrees with the im2col reference to a rounding
-    bound, whatever the input's memory layout, and gives its bytes for the
-    input gradient when the output has more than one element. The output
-    and the weight gradient are BLAS products, which sum the K*K taps in
-    another order than the reference, so they are held to the bound only."""
-    ref, got = _check_conv(n, c, c, h, w, k, stride, dil, pad, dtypes,
-                           circular, True, seed)
-    if got is not None and got[0].size > 1:
-        # the input gradient's tap loop adds the slots in the reference's
-        # order, from a zero start
-        assert got[2].tobytes() == ref[2].tobytes()
+    bound, on the output and both gradients, and its bytes do not depend on
+    the input's memory layout. Each value comes from BLAS products with the
+    band and the row adjoint, which add the K*K taps (and exact zeros) in
+    another order than the reference, so no value is held to its bytes."""
+    _check_conv(n, c, c, h, w, k, stride, dil, pad, dtypes, circular, True,
+                seed)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_conv_builds_no_patches(monkeypatch, stride):
+    """A depthwise conv runs forward and backward on band products alone:
+    no K*K patch copy, no im2col and no tap-window adds."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a depthwise conv used the patch engine")
+
+    for name in ("extract_patches", "_patch_matrix", "_add_onto_windows"):
+        monkeypatch.setattr(layers, name, must_not_run)
+    rng = np.random.default_rng(stride)
+    x = Var(rng.standard_normal((2, 3, 9, 9)).astype(np.float32))
+    wt = Var(rng.standard_normal((3, 1, 5, 5)).astype(np.float32))
+    out = conv2d(x, wt, None, stride=stride, padding=4, dilation=2,
+                 transform=circular_transform(5, 2), depthwise=True)
+    out.backward(np.ones_like(out.data))
+    assert x.grad.shape == x.data.shape and np.all(np.isfinite(x.grad))
+    assert wt.grad.shape == wt.data.shape and np.all(np.isfinite(wt.grad))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [3, 5])
-def test_depthwise_forward_slices_move_no_bit(k, dtype):
-    """A dilated depthwise forward whose batch spans several patch slices
-    gives the bytes of its samples' forwards, one sample at a time."""
-    c, h, dil = 16, 16, 2
-    per_sample = c * k * k * h * h * np.dtype(dtype).itemsize
-    n = 2 * (layers._DW_SLICE_BYTES // per_sample) + 1
-    assert n >= 3  # two full slices and a one-sample tail
+def test_depthwise_conv_is_batch_invariant(k, dtype):
+    """A dilated depthwise conv on a search-sized batch gives, for the output
+    and the input gradient, the bytes of its samples run one at a time: no
+    BLAS product spans two samples. (OpenBLAS rounds a float64 row
+    differently with the number of rows in the product.)"""
+    n, c, h, dil = 64, 16, 12, 2
     rng = np.random.default_rng(k)
     x = rng.standard_normal((n, c, h, h)).astype(dtype)
-    wt = Var(rng.standard_normal((c, 1, k, k)).astype(dtype))
+    g = rng.standard_normal((n, c, h, h)).astype(dtype)
+    wt = Var(rng.standard_normal((c, 1, k, k)).astype(dtype),
+             requires_grad=False)
 
-    def forward(xs):
-        return conv2d(Var(xs), wt, None, padding=dil * (k - 1) // 2,
-                      dilation=dil, depthwise=True).data
+    def run(i):
+        xs = Var(x[i])
+        out = conv2d(xs, wt, None, padding=dil * (k - 1) // 2, dilation=dil,
+                     depthwise=True)
+        out.backward(g[i])
+        return out.data, xs.grad
 
-    one_by_one = np.concatenate([forward(x[i:i + 1]) for i in range(n)])
-    assert forward(x).tobytes() == one_by_one.tobytes()
+    batch = run(slice(None))
+    one_by_one = [run(slice(i, i + 1)) for i in range(n)]
+    for got, parts in zip(batch, zip(*one_by_one)):
+        assert got.tobytes() == np.concatenate(parts).tobytes()

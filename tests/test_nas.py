@@ -291,6 +291,24 @@ def test_search_with_circular_ops_removed():
     assert ops.isdisjoint(CIRCULAR_OPS)
 
 
+def test_overflowing_last_step_raises_numerical_error(monkeypatch):
+    """A search ends on an alpha step, after which no loss is checked: an
+    alpha step that overflows there raises NumericalError."""
+    step = Adam.step
+
+    def overflowing(self):
+        step(self)
+        self.params[0].data = np.full_like(self.params[0].data, np.inf)
+
+    monkeypatch.setattr(Adam, "step", overflowing)
+    tr, va = _tiny_splits()
+    cfg = SearchConfig(num_nodes=3, num_cells=1, channels=4, epochs=1,
+                       batch_size=len(tr), seed=0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="after the last step"):
+            search(tr, va, cfg)
+
+
 @pytest.mark.parametrize("where", ["train", "val"])
 def test_search_sizes_its_classifier_from_both_splits(where):
     """A third class in either split gives a 3-output classifier: the

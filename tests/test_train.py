@@ -88,6 +88,18 @@ def test_nan_loss_raises_numerical_error():
               TrainConfig(epochs=1, batch_size=4))
 
 
+def test_overflowing_last_step_raises_numerical_error():
+    """A 1-batch, 1-epoch run whose only step overflows the weights fails:
+    the loss check comes before each step, so it never sees the last one."""
+    train_ds = _bars(4, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="after the last step"):
+            train(SmallCNN(channels=(4,), seed=0), train_ds,
+                  _bars(4, 1, Split.TEST),
+                  TrainConfig(epochs=1, batch_size=len(train_ds),
+                              lr_init=1e300))
+
+
 def test_report_csv_round_trips_floats():
     r = TrainReport([0.1 + 0.2], [1 / 3], [0.05])
     line = r.to_csv().splitlines()[1].split(",")
