@@ -80,8 +80,7 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     setup = train_setup(cfg)
     out_dir = make_output_dir(cfg)
-    model, train_ds, test_ds = setup.build()
-    report = train(model, train_ds, test_ds, setup.train)
+    report = train(*setup.build(), setup.train)
     path = os.path.join(out_dir, "train_report.csv")
     _write(path, report.to_csv())
     write_manifest(out_dir, cfg, setup.train.seed, [path])

@@ -165,7 +165,10 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     if len(payload) != n * h * w:
         raise IdxFormatError(f"{images_path}: expected {n * h * w} bytes, "
                              f"got {len(payload)}")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(n, 1, h, w)
+    try:  # an empty file may still state extents numpy cannot hold
+        images = np.frombuffer(payload, dtype=np.uint8).reshape(n, 1, h, w)
+    except ValueError as e:
+        raise IdxFormatError(f"{images_path}: {e}") from None
     images = images.astype(np.float32) / 255.0
 
     with open(labels_path, "rb") as f:

@@ -132,11 +132,6 @@ def _warp_chunk(imgs: np.ndarray, angles: list[float],
     return out.astype(imgs.dtype)
 
 
-def warp_image(img: np.ndarray, angle: float, mode: WarpMode) -> np.ndarray:
-    """`warp_images` of one H x W image."""
-    return warp_images(img[None], [angle], mode)[0]
-
-
 def warp_dataset(ds: Dataset, angle_range: float, mode: WarpMode,
                  rng) -> Dataset:
     """Warp every image by an independent uniform angle in (-a, a), drawn
@@ -236,12 +231,10 @@ def compare_kernels(ccfg: CompareConfig) -> tuple[str, str]:
         for shape in ccfg.shapes:
             errs = results[(shape, k)] = []
             for seed in ccfg.seeds:
-                train_ds, test_ds = ccfg.data.splits(seed)
-                model = SmallCNN(kernel_size=k, shape=shape, seed=seed,
-                                 num_classes=train_ds.num_classes,
-                                 **ccfg.integrated)
-                err = train(model, train_ds, test_ds,
-                            replace(ccfg.train, seed=seed)).test_err[-1]
+                setup = TrainSetup(replace(ccfg.train, seed=seed), ccfg.data,
+                                   {"kernel_size": k, "shape": shape,
+                                    **ccfg.integrated})
+                err = train(*setup.build(), setup.train).test_err[-1]
                 errs.append(err)
                 rows.append(f"{shape},{k},{seed},{err!r}")
     lines = ["shape,K,seed,final_test_err"] + rows
@@ -252,8 +245,8 @@ def compare_kernels(ccfg: CompareConfig) -> tuple[str, str]:
             _error_chart_svg(results, ccfg.kernel_sizes, ccfg.shapes))
 
 
-_SVG_COLORS = {"square": "#1f77b4", "circle": "#d62728",
-               "circular": "#d62728", "integrated": "#2ca02c"}
+_SVG_COLORS = {Mode.SQUARE: "#1f77b4", Mode.CIRCULAR: "#d62728",
+               None: "#2ca02c"}  # keyed by kernel_shape; None is integrated
 
 
 def _error_chart_svg(results: dict[tuple[str, int], list[float]],
@@ -281,7 +274,7 @@ def _error_chart_svg(results: dict[tuple[str, int], list[float]],
         parts.append(f'<text x="{sx(k):.1f}" y="{height - margin + 18:.1f}" '
                      f'font-size="11" text-anchor="middle">K={k}</text>')
     for i, shape in enumerate(shapes):
-        color = _SVG_COLORS.get(shape, "#555555")
+        color = _SVG_COLORS[kernel_shape(shape)]
         pts = " ".join(f"{sx(k):.1f},{sy(float(np.mean(results[(shape, k)]))):.1f}"
                        for k in ks if (shape, k) in results)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -488,7 +481,7 @@ def load_config(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return parse_config(f.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
 from .autodiff import Var, add, scale
 from .geometry import Mode
 from .layers import Conv2d
@@ -31,20 +29,16 @@ class IntegratedConv(Conv2d):
 
     The inherited `transform` is the circular matrix B; the square branch
     convolves without a transform. A `current_choice` of None averages the
-    two branches.
+    two branches. `conv` holds Conv2d's keyword options but `mode`.
     """
 
-    def __init__(self, cin: int, cout: int, k: int, *, stride: int = 1,
-                 padding: int = 0, dilation: int = 1, p_circular: float = 0.5,
-                 seed: int = 0, stream_id: str = "integrated",
-                 eval_branch: EvalBranch = EvalBranch.CIRCULAR,
-                 depthwise: bool = False, bias: bool = True, rng=None,
-                 dtype=np.float32):
+    def __init__(self, cin: int, cout: int, k: int, *,
+                 p_circular: float = 0.5, seed: int = 0,
+                 stream_id: str = "integrated",
+                 eval_branch: EvalBranch = EvalBranch.CIRCULAR, **conv):
         if not 0.0 <= p_circular <= 1.0:
             raise ValueError("p_circular must be in [0, 1]")
-        super().__init__(cin, cout, k, stride=stride, padding=padding,
-                         dilation=dilation, mode=Mode.CIRCULAR,
-                         depthwise=depthwise, bias=bias, rng=rng, dtype=dtype)
+        super().__init__(cin, cout, k, mode=Mode.CIRCULAR, **conv)
         self.p_circular = p_circular
         self.seed = seed
         self.stream_id = stream_id

@@ -4,15 +4,14 @@ Dense convs and pools read the padded input through one strided view,
 `_tap_windows`: kernel slot (kr, kc) reads the pixel displaced by
 (row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
 flattening used by the geometry and transform modules. Dense convs copy it
-into one C-order (N, C, K*K, OH*OW) patch matrix (`_patch_matrix`, read
-through `extract_patches`) and run as BLAS matmuls on it. Pools copy no
-patches: they fold the windows themselves in slot order, a sum from a zero
-start or a running `np.maximum`. Their input gradients add one term per
-slot onto the window that slot read, slots in order from a zero start
-(`_add_onto_windows`): col2im (`scatter_patches`) a dense conv's patch
-gradient, the avg pool the output gradient over K*K, and the max pool the
-output gradient on the first slot that holds the maximum and +0.0 on the
-others.
+into one C-order (N, C, K*K, OH*OW) patch matrix (`extract_patches`) and
+run as BLAS matmuls on it. Pools copy no patches: they fold the windows
+themselves in slot order, a sum from a zero start or a running
+`np.maximum`. Their input gradients add one term per slot onto the window
+that slot read, slots in order from a zero start (`_add_onto_windows`):
+col2im (`scatter_patches`) a dense conv's patch gradient, the avg pool the
+output gradient over K*K, and the max pool the output gradient on the
+first slot that holds the maximum and +0.0 on the others.
 
 Depthwise convs copy no patches. Each output row reads K padded input
 rows, one per kernel row (`_row_windows`); laid end to end, they times a
@@ -59,6 +58,10 @@ from .transform import (
 
 def _out_shape(h: int, w: int, k: int, stride: int, pad: int,
                dil: int) -> tuple[int, int]:
+    for name, value, low in (("stride", stride, 1), ("padding", pad, 0),
+                             ("dilation", dil, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     oh, ow = ((n + 2 * pad - dil * (k - 1) - 1) // stride + 1 for n in (h, w))
     if oh < 1 or ow < 1:
         raise ValueError(f"zero-sized output for input {h}x{w}, K={k}, "
@@ -87,20 +90,14 @@ def _tap_windows(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
                       writeable=writeable)
 
 
-def _patch_matrix(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
-                  dil: int) -> np.ndarray:
-    """C-order (N, C, K*K, OH*OW) copy of a padded input's tap windows: the
-    one memory layout every conv reads its patches in."""
-    n, c = xp.shape[:2]
-    return np.ascontiguousarray(_tap_windows(xp, k, oh, ow, stride, dil)
-                                ).reshape(n, c, k * k, oh * ow)
-
-
 def extract_patches(x: np.ndarray, k: int, stride: int, pad: int,
                     dil: int) -> np.ndarray:
-    """(N, C, H, W) -> C-order (N, C, K*K, OH*OW) row-major kernel patches."""
-    oh, ow = _out_shape(*x.shape[2:], k, stride, pad, dil)
-    return _patch_matrix(_pad(x, pad), k, oh, ow, stride, dil)
+    """(N, C, H, W) -> C-order (N, C, K*K, OH*OW) copy of the padded
+    input's tap windows: the one layout every dense conv reads patches in."""
+    n, c, h, w = x.shape
+    oh, ow = _out_shape(h, w, k, stride, pad, dil)
+    return np.ascontiguousarray(_tap_windows(_pad(x, pad), k, oh, ow, stride,
+                                             dil)).reshape(n, c, k * k, oh * ow)
 
 
 def _row_windows(xp: np.ndarray, k: int, oh: int, stride: int,
@@ -398,6 +395,9 @@ def softmax_cross_entropy(logits: Var, labels: np.ndarray) -> Var:
 
 def kaiming_uniform(shape: tuple[int, ...], fan_in: int, rng,
                     dtype=np.float32) -> np.ndarray:
+    """Uniform in +-sqrt(6 / fan_in), from `rng`, else default_rng(0)."""
+    if rng is None:
+        rng = np.random.default_rng(0)
     bound = float(np.sqrt(6.0 / fan_in))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
@@ -444,8 +444,6 @@ class Conv2d(Module):
         self.depthwise = depthwise
         wc = (cout, 1, k, k) if depthwise else (cout, cin, k, k)
         fan_in = k * k if depthwise else cin * k * k
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.weights = Var(kaiming_uniform(wc, fan_in, rng, dtype))
         self.bias = Var(np.zeros(cout, dtype=dtype)) if bias else None
 
@@ -460,8 +458,6 @@ class Conv2d(Module):
 
 class Linear(Module):
     def __init__(self, cin: int, cout: int, rng=None, dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.weights = Var(kaiming_uniform((cout, cin), cin, rng, dtype))
         self.bias = Var(np.zeros(cout, dtype=dtype))
 

@@ -54,4 +54,7 @@ def load_tensor(path: str) -> np.ndarray:
         payload = f.read()
     if len(payload) != n * dtype.itemsize:
         raise OrbtFormatError(f"{path}: truncated payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    try:  # numpy caps the rank, and the extents of an empty array
+        return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    except ValueError as e:
+        raise OrbtFormatError(f"{path}: shape {dims}: {e}") from None

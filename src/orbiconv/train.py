@@ -89,10 +89,14 @@ class SGD:
 
 
 def evaluate(model: Module, ds: Dataset) -> float:
-    """Classification error rate on a dataset. Every leaf of `model` is
-    frozen meanwhile, so the forward keeps no graph."""
+    """Classification error rate on a dataset, with every integrated layer
+    on its eval branch and every leaf frozen, so the forward keeps no graph."""
+    items = list(walk(model))
+    for item in items:
+        if hasattr(item, "enter_eval"):
+            item.enter_eval()
     wrong = 0
-    with frozen([v for v in walk(model) if isinstance(v, Var)]):
+    with frozen([v for v in items if isinstance(v, Var)]):
         for start in range(0, len(ds), _EVAL_BATCH):
             x = Var(ds.images[start:start + _EVAL_BATCH], requires_grad=False)
             pred = model(x).data.argmax(axis=1)
@@ -153,8 +157,6 @@ def train(model: Module, train_ds: Dataset, test_ds: Dataset,
             opt.step(lr)
             iteration += 1
         report.train_loss.append(float(np.mean(losses)))
-        for layer in integrated:
-            layer.enter_eval()
         report.test_err.append(evaluate(model, test_ds))
         report.lr.append(lr)
     check_last_step(params)

@@ -142,7 +142,5 @@ def resample_patch(patch: np.ndarray, b: TransformMatrix) -> np.ndarray:
     return _b_product(patch, b, adjoint=False)
 
 
-def transform_gradient_pushforward(grad: np.ndarray, b: TransformMatrix) -> np.ndarray:
-    """Adjoint of reparameterize: maps an effective-kernel gradient back to
-    the raw-weight gradient, i.e. B @ grad."""
-    return resample_patch(grad, b)
+# adjoint of reparameterize: B @ grad maps effective to raw-weight gradients
+transform_gradient_pushforward = resample_patch

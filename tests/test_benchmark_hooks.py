@@ -77,4 +77,9 @@ def test_tracer_sees_every_search_op(monkeypatch):
     spans = {name for name, *_ in tracer.spans}
     assert {"layers.conv2d.dw", "layers.conv2d.dense", "layers.max_pool2d",
             "layers.avg_pool2d", "autodiff.weighted_sum",
-            "transform.reparameterize"} <= spans
+            "transform.reparameterize",
+            "transform.transform_gradient_pushforward"} <= spans
+    # B's adjoint is one object under two names, so the tracer's span for
+    # the pushforward name covers every binding of it
+    transform = pkg["transform"]
+    assert transform.transform_gradient_pushforward is transform.resample_patch

@@ -78,6 +78,20 @@ def test_train_missing_config_exits_2():
     assert main(["train", "--config", "/nonexistent.cfg"]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "compare", "robustness",
+                                     "search"])
+def test_config_of_random_bytes_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "random.cfg"
+    cfg.write_bytes(np.random.default_rng(0).bytes(512))
+    argv = [command, "--config", str(cfg)]
+    if command == "search":
+        argv += ["--out", str(tmp_path / "genotype.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config")
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == [cfg]
+
+
 def test_train_bad_value_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("train.lr_init = 0\n")

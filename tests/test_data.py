@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from orbiconv.data import (
     Dataset,
@@ -187,3 +190,82 @@ def test_orbt_huge_extents_do_not_wrap(tmp_path):
     assert p.stat().st_size == 22
     with pytest.raises(OrbtFormatError, match="truncated payload"):
         load_tensor(str(p))
+
+
+# Parser fuzz: each loader reads truncated, bit-flipped and well-formed files
+# with huge extents and ranks, and may raise only its own format error. A
+# huge extent is checked against the file's own payload length first, so no
+# example allocates more than the file holds.
+
+_EXTENTS = st.sampled_from([0, 1, 2, 3, 65536, 2**32 - 1])
+_FUZZ = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _payload(draw, size: int) -> bytes:
+    """`size` drawn bytes, or a short drawn run when `size` is too large."""
+    if size <= 256:
+        return draw(st.binary(min_size=size, max_size=size))
+    return draw(st.binary(max_size=64))
+
+
+def _damage(draw, data: bytes) -> bytes:
+    """`data`, maybe cut to a drawn length, with up to three bits flipped."""
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, 3)) if data else 0):
+        bit = draw(st.integers(0, 8 * len(data) - 1))
+        data[bit // 8] ^= 1 << bit % 8
+    return bytes(data)
+
+
+@st.composite
+def _orbt_files(draw):
+    code = draw(st.integers(0, 3))  # 3 is no dtype code
+    rank = draw(st.integers(0, 4) | st.integers(0, 255))
+    dims = draw(st.lists(_EXTENTS, min_size=rank, max_size=rank))
+    itemsize = 4 if code == 0 else 8
+    return _damage(draw, b"ORBT" + struct.pack(f"<BB{rank}I", code, rank, *dims)
+                   + _payload(draw, itemsize * math.prod(dims)))
+
+
+@_FUZZ
+@given(blob=_orbt_files())
+@example(blob=b"ORBT" + struct.pack("<BB70I", 0, 70, *[1] * 70) + bytes(4)
+         )  # a rank numpy cannot hold
+@example(blob=b"ORBT" + struct.pack("<BB3I", 0, 3, 0, 2**32 - 1, 2**32 - 1)
+         )  # no elements, but extents numpy cannot hold
+def test_orbt_loader_raises_only_its_format_error(tmp_path, blob):
+    path = tmp_path / "fuzz.orbt"
+    path.write_bytes(blob)
+    try:
+        arr = load_tensor(str(path))
+    except OrbtFormatError:
+        return
+    assert len(blob) == 6 + 4 * arr.ndim + arr.nbytes
+
+
+@st.composite
+def _idx_pairs(draw):
+    n, h, w = (draw(_EXTENTS) for _ in range(3))
+    nl = draw(st.just(n) | _EXTENTS)
+    images = struct.pack(">IIII", 0x803, n, h, w) + _payload(draw, n * h * w)
+    labels = struct.pack(">II", 0x801, nl) + _payload(draw, nl)
+    return _damage(draw, images), _damage(draw, labels)
+
+
+@_FUZZ
+@given(files=_idx_pairs())
+@example(files=(struct.pack(">IIII", 0x803, 0, 2**32 - 1, 2**32 - 1),
+                struct.pack(">II", 0x801, 0))
+         )  # no images, but extents numpy cannot hold
+def test_idx_loader_raises_only_its_format_error(tmp_path, files):
+    paths = [tmp_path / name for name in ("img.idx", "lab.idx")]
+    for path, blob in zip(paths, files):
+        path.write_bytes(blob)
+    try:
+        ds = load_idx(*map(str, paths))
+    except IdxFormatError:
+        return
+    assert ds.images.shape[1] == 1 and len(ds.labels) == len(ds)

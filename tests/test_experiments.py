@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_warp_dataset, reference_warp_image
@@ -21,12 +21,15 @@ from orbiconv.experiments import (
     robustness_csv,
     robustness_eval,
     warp_dataset,
-    warp_image,
     warp_images,
     write_manifest,
 )
 from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.rng import stream
+
+
+def warp_image(img, angle, mode):
+    return warp_images(img[None], [angle], mode)[0]
 
 
 def test_warp_zero_angle_is_copy():
@@ -262,6 +265,23 @@ def test_parse_config_rejects_garbage():
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.cfg")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=st.binary(max_size=256)
+       | st.text(max_size=128).map(lambda t: t.encode("utf-8")))
+@example(blob=b"train.epochs = 5\n")
+@example(blob=b"model.shape = \xe9\n")  # Latin-1, not UTF-8
+def test_load_config_raises_only_config_error(tmp_path, blob):
+    """Any file, valid UTF-8 or not, loads or raises ConfigError."""
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(blob)
+    try:
+        cfg = load_config(str(path))
+    except ConfigError:
+        return
+    assert cfg == parse_config(blob.decode("utf-8"))
 
 
 def test_write_manifest(tmp_path):

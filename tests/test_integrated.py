@@ -100,6 +100,29 @@ def test_untrained_layer_evaluates_its_eval_branch(branch, shape):
     assert evaluate(integrated, ds) == evaluate(plain, ds)
 
 
+@pytest.mark.parametrize("branch", list(EvalBranch))
+def test_evaluate_runs_the_eval_branch(branch):
+    """`evaluate` runs each integrated layer's eval branch, whatever branch
+    was drawn last: the logits it sees are those of a fresh model."""
+    ds = gen_synthetic(SynthKind.ORIENTED_BARS, 4, 12, 3)
+    x = Var(ds.images, requires_grad=False)
+    model = SmallCNN(shape="integrated", eval_branch=branch, seed=5)
+    want = model(x).data.tobytes()
+    drawn = Mode.SQUARE if branch is EvalBranch.CIRCULAR else Mode.CIRCULAR
+    for layer in model.blocks:
+        layer.current_choice = drawn
+    logits = []
+    head = model.head.forward
+
+    def recording_head(h):
+        logits.append(head(h))
+        return logits[-1]
+
+    model.head.forward = recording_head
+    evaluate(model, ds)  # one batch
+    assert logits[0].data.tobytes() == want
+
+
 def test_eval_average_is_mean_of_branches():
     rng = np.random.default_rng(2)
     layer = IntegratedConv(1, 1, 3, eval_branch=EvalBranch.AVERAGE,

@@ -357,12 +357,38 @@ def test_pools_copy_no_patches(monkeypatch, pool):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a pool used the im2col engine")
 
-    for name in ("extract_patches", "scatter_patches", "_patch_matrix"):
+    for name in ("extract_patches", "scatter_patches"):
         monkeypatch.setattr(layers, name, must_not_run)
     x = Var(np.random.default_rng(0).standard_normal((2, 3, 7, 7)))
     out = pool(x, 3, 2, 1)
     out.backward(np.ones_like(out.data))
     assert x.grad.shape == x.data.shape and np.all(np.isfinite(x.grad))
+
+
+def _conv3x3(depthwise):
+    def run(x, **kwargs):
+        c = x.data.shape[1]
+        wt = Var(np.ones((c, 1 if depthwise else c, 3, 3)))
+        return conv2d(x, wt, None, depthwise=depthwise, **kwargs)
+    return run
+
+
+_SHAPE_OPS = {"dense": _conv3x3(False), "depthwise": _conv3x3(True),
+              "max_pool2d": max_pool2d, "avg_pool2d": avg_pool2d}
+_BAD_ARGS = [("stride", 0), ("stride", -1), ("padding", -1), ("dilation", 0),
+             ("dilation", -2)]
+
+
+@pytest.mark.parametrize("op, name, value", [
+    (op, name, value) for op in _SHAPE_OPS for name, value in _BAD_ARGS
+    if name != "dilation" or op in ("dense", "depthwise")])
+def test_bad_stride_padding_or_dilation_raises_naming_it(op, name, value):
+    """A stride or dilation below 1 or a negative padding is rejected by
+    name, where it used to divide by zero, fail to broadcast or (dilation 0)
+    read one pixel for every tap."""
+    x = Var(np.ones((1, 2, 8, 8)))
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        _SHAPE_OPS[op](x, **{name: value})
 
 
 def _conv_and_grads(conv, x_data, w_data, seed, absolute=False, **kwargs):
@@ -497,7 +523,7 @@ def test_depthwise_conv_builds_no_patches(monkeypatch, stride):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a depthwise conv used the patch engine")
 
-    for name in ("extract_patches", "_patch_matrix", "_add_onto_windows"):
+    for name in ("extract_patches", "_add_onto_windows"):
         monkeypatch.setattr(layers, name, must_not_run)
     rng = np.random.default_rng(stride)
     x = Var(rng.standard_normal((2, 3, 9, 9)).astype(np.float32))
