@@ -48,8 +48,12 @@ class Var:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the bytes, dtype and layout of `zeros_like(data) += g` in one
+            # pass: +0.0 + -0.0 is +0.0
+            self.grad = np.add(self.data.dtype.type(0), g,
+                               out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None

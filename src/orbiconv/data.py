@@ -167,9 +167,9 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
                              f"got {len(payload)}")
     try:  # an empty file may still state extents numpy cannot hold
         images = np.frombuffer(payload, dtype=np.uint8).reshape(n, 1, h, w)
+        images = images.astype(np.float32) / 255.0
     except ValueError as e:
         raise IdxFormatError(f"{images_path}: {e}") from None
-    images = images.astype(np.float32) / 255.0
 
     with open(labels_path, "rb") as f:
         head = f.read(8)

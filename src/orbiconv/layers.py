@@ -1,33 +1,36 @@
 """Convolution, pooling and dense layers over the autodiff engine.
 
-Dense convs and pools read the padded input through one strided view,
+Dense convs read the padded input through one strided view,
 `_tap_windows`: kernel slot (kr, kc) reads the pixel displaced by
 (row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
-flattening used by the geometry and transform modules. Dense convs copy it
-into one C-order (N, C, K*K, OH*OW) patch matrix (`extract_patches`) and
-run as BLAS matmuls on it. Pools copy no patches: they fold the windows
-themselves in slot order, a sum from a zero start or a running
-`np.maximum`. Their input gradients add one term per slot onto the window
-that slot read, slots in order from a zero start (`_add_onto_windows`):
-col2im (`scatter_patches`) a dense conv's patch gradient, the avg pool the
-output gradient over K*K, and the max pool the output gradient on the
-first slot that holds the maximum and +0.0 on the others.
+flattening used by the geometry and transform modules. They copy it into
+one C-order (N, C, K*K, OH*OW) patch matrix (`extract_patches`) and run as
+BLAS matmuls on it; col2im (`scatter_patches`) adds each slot's patch
+gradient onto the window that slot read, slots in order from a zero start.
+Pools copy no patches: they read the same windows of a padded
+channels-last (H, W, N, C) copy (`_windows_last`), so each slot's pass runs
+over rows of N*C elements (OW*N*C at stride 1), not over one output row.
+They fold the windows in slot order, a sum from a zero start or a running
+`np.maximum`; their input gradients add one term per slot onto a
+channels-last buffer the same way (`_pool_input_grad`): the avg pool the
+output gradient over K*K, the max pool the output gradient on the first
+slot that holds the maximum and +0.0 on the others.
 
 Depthwise convs copy no patches. Each output row reads K padded input
 rows, one per kernel row (`_row_windows`); laid end to end, they times a
 banded (K*Wp, OW) matrix of the channel's kernel (`_band`) give the row.
 So the forward is a K-row copy of the input and one BLAS product per
 sample and channel; the input gradient is the output gradient times the
-transposed band, then a 0/1 matrix product that adds each row's gradient
-onto the padded row it came from (`_row_adjoint`); the weight gradient is,
-per kernel row, one BLAS product per channel of the output gradient
-against the rows that kernel row read, summed along each band diagonal
-(`_band_taps`). The largest temporary is K times the padded input. Since
-no product spans two samples, no bit depends on the batch. The band's and
-the adjoint's zeros take part in the sums, so a non-finite input value
-reaches every output of its rows (0 * inf is NaN), and a non-finite output
-gradient every input gradient of its sample and channel; the loss check of
-a training step stops such a step first.
+transposed band, then a shared 0/1 matrix product that adds each row's
+gradient onto the padded row it came from (`_row_adjoint`); the weight
+gradient is, per kernel row, one BLAS product per channel of the output
+gradient against the rows that kernel row read, summed along each band
+diagonal (`_band_taps`). The largest temporary is K times the padded
+input. Since no product spans two samples, no bit depends on the batch.
+The band's and the adjoint's zeros take part in the sums, so a non-finite
+input value reaches every output of its rows (0 * inf is NaN), and a
+non-finite output gradient every input gradient of its sample and channel;
+the loss check of a training step stops such a step first.
 
 Against the fancy-index, scatter-add and einsum references in
 `tests/conftest.py`: pools keep every byte; dense and depthwise outputs and
@@ -35,13 +38,16 @@ both gradients match to rounding. No bit depends on the input's memory
 layout, nor on the BLAS thread count.
 
 Circular layers hold a TransformMatrix and re-parameterize their weights
-once per forward pass (effective kernel = B^T @ w); the backward pass maps
-the effective-kernel gradient back through the adjoint (B @ g). Square
-layers hold no transform and skip the product entirely, so a square layer
-and a circular layer differ only in the fixed matrix.
+once per weight version (effective kernel = B^T @ w): a `Conv2d` keeps it
+while its weights hold the same bytes. The backward pass maps the
+effective-kernel gradient back through the adjoint (B @ g). Square layers
+hold no transform and skip the product entirely, so a square layer and a
+circular layer differ only in the fixed matrix.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -69,12 +75,12 @@ def _out_shape(h: int, w: int, k: int, stride: int, pad: int,
     return oh, ow
 
 
-def _pad(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
-    """(N, C, H, W) -> (N, C, H + 2*pad, W + 2*pad) with `value` borders."""
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """(N, C, H, W) -> (N, C, H + 2*pad, W + 2*pad) with zero borders."""
     if pad == 0:
         return x
     n, c, h, w = x.shape
-    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), value, dtype=x.dtype)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad:pad + h, pad:pad + w] = x
     return xp
 
@@ -132,50 +138,46 @@ def _band(w: np.ndarray, wp: int, ow: int, stride: int,
     return band.reshape(c, k * wp, ow)
 
 
+@cache
 def _row_adjoint(k: int, oh: int, hp: int, stride: int, dil: int,
                  dtype) -> np.ndarray:
     """(Hp, OH*K) 0/1 matrix that adds each (output row i, kernel row kr)
     gradient row onto the padded row dil*kr + stride*i it came from: the
-    adjoint of `_row_windows` as one matrix product."""
+    adjoint of `_row_windows` as one matrix product. Built once per
+    arguments and read-only, since every caller with them shares it."""
     adj = np.zeros((hp, oh, k), dtype)
     i, kr = np.ogrid[:oh, :k]
     adj[dil * kr + stride * i, i, kr] = 1
-    return adj.reshape(hp, oh * k)
-
-
-def _add_onto_windows(term, in_shape: tuple[int, int, int, int], k: int,
-                      stride: int, pad: int, dil: int, dtype) -> np.ndarray:
-    """Adjoint of reading tap windows: the (N, C, H, W) sum of each kernel
-    slot's (N, C, OH, OW) `term(slot)` added onto the window that slot read,
-    slots in order 0..K*K-1 from a zero start."""
-    n, c, h, w = in_shape
-    oh, ow = _out_shape(h, w, k, stride, pad, dil)
-    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype)
-    win = _tap_windows(gxp, k, oh, ow, stride, dil, writeable=True)
-    for slot in range(k * k):
-        win[:, :, slot // k, slot % k] += term(slot)
-    return gxp[:, :, pad:pad + h, pad:pad + w]
+    adj = adj.reshape(hp, oh * k)
+    adj.flags.writeable = False
+    return adj
 
 
 def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
                     k: int, stride: int, pad: int, dil: int) -> np.ndarray:
     """Adjoint of extract_patches: add each kernel slot's patch gradients
-    onto the strided window that slot read, slots in order 0..K*K-1."""
+    onto the strided window that slot read, slots in order 0..K*K-1 from a
+    zero start."""
     n, c, h, w = in_shape
     oh, ow = _out_shape(h, w, k, stride, pad, dil)
     g = g.reshape(n, c, k * k, oh, ow)
-    return _add_onto_windows(lambda slot: g[:, :, slot], in_shape, k, stride,
-                             pad, dil, g.dtype)
+    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), g.dtype)
+    win = _tap_windows(gxp, k, oh, ow, stride, dil, writeable=True)
+    for slot in range(k * k):
+        win[:, :, slot // k, slot % k] += g[:, :, slot]
+    return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
            padding: int = 0, dilation: int = 1,
            transform: TransformMatrix | None = None,
-           depthwise: bool = False) -> Var:
+           depthwise: bool = False, w_eff: np.ndarray | None = None) -> Var:
     """2D convolution (cross-correlation) with optional weight
     re-parameterization through a TransformMatrix.
 
     weights: (Cout, Cin, K, K), or (C, 1, K, K) when depthwise.
+    w_eff: the (Cout, Cin, K*K) effective kernel B^T w of `weights` under
+    `transform`, when the caller holds it; computed here when None.
     """
     n, c, h, w = x.data.shape
     cout, cin, k, k2 = weights.data.shape
@@ -193,7 +195,8 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
     if transform is not None:
         if transform.kernel_size != k or transform.dilation != dilation:
             raise ValueError("transform does not match kernel size/dilation")
-        w_eff = reparameterize(w_flat, transform)
+        if w_eff is None:
+            w_eff = reparameterize(w_flat, transform)
     else:
         w_eff = w_flat
 
@@ -268,16 +271,51 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
     return Var(out, parents, bw)
 
 
+def _pad_last(x: np.ndarray, pad: int, value: float) -> np.ndarray:
+    """(N, C, H, W) -> channels-last (H + 2*pad, W + 2*pad, N, C) copy with
+    `value` borders."""
+    n, c, h, w = x.shape
+    xp = np.full((h + 2 * pad, w + 2 * pad, n, c), value, x.dtype)
+    xp[pad:pad + h, pad:pad + w] = x.transpose(2, 3, 0, 1)
+    return xp
+
+
+def _windows_last(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
+                  writeable: bool = False) -> np.ndarray:
+    """(K, K, OH, OW, N, C) view of a channels-last (Hp, Wp, N, C) buffer:
+    [kr, kc] is the window kernel slot (kr, kc) reads at dilation 1. A
+    window row is N*C contiguous elements (OW*N*C at stride 1)."""
+    sh, sw = xp.strides[:2]
+    return as_strided(xp, (k, k, oh, ow) + xp.shape[2:],
+                      (sh, sw, stride * sh, stride * sw) + xp.strides[2:],
+                      writeable=writeable)
+
+
+def _pool_input_grad(term, in_shape: tuple[int, int, int, int], k: int,
+                     stride: int, pad: int, dtype) -> np.ndarray:
+    """Adjoint of a pool's window reads: each kernel slot's (OH, OW, N, C)
+    `term(slot)` added onto the channels-last window that slot read, slots
+    in order 0..K*K-1 from a zero start; an (N, C, H, W) view."""
+    n, c, h, w = in_shape
+    oh, ow = _out_shape(h, w, k, stride, pad, 1)
+    gxp = np.zeros((h + 2 * pad, w + 2 * pad, n, c), dtype)
+    win = _windows_last(gxp, k, oh, ow, stride, writeable=True)
+    for slot in range(k * k):
+        win[slot // k, slot % k] += term(slot)
+    return gxp[pad:pad + h, pad:pad + w].transpose(2, 3, 0, 1)
+
+
 def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     oh, ow = _out_shape(*x.data.shape[2:], k, stride, padding, 1)
     # the tap windows folded in slot order, the new tap first: on a tie
     # np.maximum returns its second operand, the earlier slot, as argmax
     # keeps the first maximum (which tells -0.0 from +0.0); a NaN propagates
-    xp = _pad(x.data, padding, -np.inf)
-    taps = _tap_windows(xp, k, oh, ow, stride, 1)
-    out = taps[:, :, 0, 0].copy()
+    xp = _pad_last(x.data, padding, -np.inf)
+    taps = _windows_last(xp, k, oh, ow, stride)
+    top = taps[0, 0].copy()
     for slot in range(1, k * k):
-        np.maximum(taps[:, :, slot // k, slot % k], out, out=out)
+        np.maximum(taps[slot // k, slot % k], top, out=top)
+    out = np.ascontiguousarray(top.transpose(2, 3, 0, 1))
 
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
@@ -288,19 +326,19 @@ def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
         # gradients not routed yet. Selecting on the bits keeps inf and NaN
         # gradients exact, where g * hit would give inf * 0 = NaN.
         bits = np.dtype(f"u{xp.itemsize}")
-        win = _tap_windows(xp, k, oh, ow, stride, 1).view(bits)
-        target = out.view(bits)
-        left = g.astype(xp.dtype).view(bits)
-        hit, m = np.empty(out.shape, bool), np.empty(out.shape, bits)
+        win = _windows_last(xp, k, oh, ow, stride).view(bits)
+        target = top.view(bits)
+        left = g.transpose(2, 3, 0, 1).astype(xp.dtype, order="C").view(bits)
+        hit, m = np.empty(top.shape, bool), np.empty(top.shape, bits)
 
         def route(slot: int) -> np.ndarray:
-            np.equal(win[:, :, slot // k, slot % k], target, out=hit)
+            np.equal(win[slot // k, slot % k], target, out=hit)
             np.multiply(left, hit, out=m)
             np.bitwise_xor(left, m, out=left)
             return m.view(xp.dtype)
 
-        x.accumulate(_add_onto_windows(route, x.data.shape, k, stride,
-                                       padding, 1, xp.dtype))
+        x.accumulate(_pool_input_grad(route, x.data.shape, k, stride,
+                                      padding, xp.dtype))
 
     return Var(out, (x,), bw)
 
@@ -310,18 +348,20 @@ def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     oh, ow = _out_shape(h, w, k, stride, padding, 1)
     # the tap windows added in slot order from a zero start, as the
     # reference sums a patch's slots; no patch copy
-    win = _tap_windows(_pad(x.data, padding), k, oh, ow, stride, 1)
-    out = np.zeros((n, c, oh, ow), x.data.dtype)
+    win = _windows_last(_pad_last(x.data, padding, 0.0), k, oh, ow, stride)
+    total = np.zeros((oh, ow, n, c), x.data.dtype)
     for slot in range(k * k):
-        out += win[:, :, slot // k, slot % k]
-    out /= k * k
+        total += win[slot // k, slot % k]
+    out = np.divide(total.transpose(2, 3, 0, 1), k * k,
+                    out=np.empty((n, c, oh, ow), total.dtype))
 
     def bw(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        g_slot = g / (k * k)
-        x.accumulate(_add_onto_windows(lambda slot: g_slot, x.data.shape, k,
-                                       stride, padding, 1, g_slot.dtype))
+        g_slot = np.divide(g.transpose(2, 3, 0, 1), k * k,
+                           out=np.empty((oh, ow, n, c), g.dtype))
+        x.accumulate(_pool_input_grad(lambda slot: g_slot, x.data.shape, k,
+                                      stride, padding, g_slot.dtype))
 
     return Var(out, (x,), bw)
 
@@ -446,11 +486,29 @@ class Conv2d(Module):
         fan_in = k * k if depthwise else cin * k * k
         self.weights = Var(kaiming_uniform(wc, fan_in, rng, dtype))
         self.bias = Var(np.zeros(cout, dtype=dtype)) if bias else None
+        # (weight version, B^T w): see `_effective_kernel`
+        self._reparam: tuple | None = None
+
+    def _effective_kernel(self) -> np.ndarray:
+        """B^T w, computed once per weight version. The version is the
+        weights' dtype, shape and bytes, so an optimizer step, a new array
+        and an in-place write each make a new one, and a frozen model
+        re-parameterizes once."""
+        w = self.weights.data
+        version = (w.dtype, w.shape, w.tobytes())
+        if self._reparam is None or self._reparam[0] != version:
+            w_eff = reparameterize(w.reshape(*w.shape[:2], -1),
+                                   self.transform)
+            w_eff.flags.writeable = False
+            self._reparam = (version, w_eff)
+        return self._reparam[1]
 
     def _conv(self, x: Var, transform: TransformMatrix | None) -> Var:
         return conv2d(x, self.weights, self.bias, stride=self.stride,
                       padding=self.padding, dilation=self.dilation,
-                      transform=transform, depthwise=self.depthwise)
+                      transform=transform, depthwise=self.depthwise,
+                      w_eff=None if transform is None
+                      else self._effective_kernel())
 
     def forward(self, x: Var) -> Var:
         return self._conv(x, self.transform)

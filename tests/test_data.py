@@ -260,6 +260,9 @@ def _idx_pairs(draw):
 @example(files=(struct.pack(">IIII", 0x803, 0, 2**32 - 1, 2**32 - 1),
                 struct.pack(">II", 0x801, 0))
          )  # no images, but extents numpy cannot hold
+@example(files=(struct.pack(">IIII", 0x803, 0x20000001, 0, 2**32 - 1),
+                struct.pack(">II", 0x801, 0))
+         )  # no bytes: the uint8 shape fits, its float32 copy does not
 def test_idx_loader_raises_only_its_format_error(tmp_path, files):
     paths = [tmp_path / name for name in ("img.idx", "lab.idx")]
     for path, blob in zip(paths, files):

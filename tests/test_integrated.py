@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from orbiconv.autodiff import Var
+from orbiconv.autodiff import Var, add, scale
 from orbiconv.data import Split, SynthKind, gen_synthetic
 from orbiconv.experiments import SmallCNN
 from orbiconv.geometry import Mode
 from orbiconv.integrated import EvalBranch, IntegratedConv
-from orbiconv.layers import Conv2d
+from orbiconv.layers import Conv2d, conv2d
 from orbiconv.train import TrainConfig, evaluate, train
 
 
@@ -31,6 +31,29 @@ def test_square_branch_matches_plain_square_conv():
     layer.draw_for_iteration(0)
     x = Var(rng.standard_normal((1, 1, 6, 6)), requires_grad=False)
     assert np.array_equal(layer(x).data, plain(x).data)
+
+
+@pytest.mark.parametrize("branch", list(EvalBranch))
+def test_eval_branches_keep_bytes_with_a_reused_kernel(branch):
+    """Each eval branch gives the bytes of `conv2d` computing B^T w itself,
+    when the layer reuses its effective kernel and after an in-place write
+    to the weights."""
+    layer = IntegratedConv(2, 3, 5, padding=2, eval_branch=branch,
+                           rng=np.random.default_rng(4))
+    x = Var(np.random.default_rng(5).standard_normal((2, 2, 6, 6)).astype(
+        np.float32), requires_grad=False)
+
+    def direct() -> bytes:
+        square, circular = (conv2d(x, layer.weights, layer.bias, padding=2,
+                                   transform=t) for t in (None, layer.transform))
+        return {EvalBranch.SQUARE: square, EvalBranch.CIRCULAR: circular,
+                EvalBranch.AVERAGE: scale(add(square, circular), 0.5)
+                }[branch].data.tobytes()
+
+    for _ in range(2):
+        assert layer(x).data.tobytes() == direct()
+    layer.weights.data[1, 0, 0, 3] = 2.0
+    assert layer(x).data.tobytes() == direct()
 
 
 def test_degenerate_probabilities_short_circuit():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,11 @@ from orbiconv.layers import (
     softmax_cross_entropy,
 )
 from orbiconv.nas import make_op
-from orbiconv.transform import build_transform, circular_transform
+from orbiconv.transform import (
+    build_transform,
+    circular_transform,
+    reparameterize,
+)
 
 
 def _const_var(arr):
@@ -105,6 +111,55 @@ def test_square_mode_identity_transform_is_plain_conv():
     out2 = conv2d(Var(x, requires_grad=False), layer.weights, layer.bias,
                   padding=1, transform=None).data
     assert np.array_equal(out1, out2)
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_circular_conv_reparameterizes_once_per_weight_version(monkeypatch,
+                                                               depthwise):
+    """A circular Conv2d reuses B^T w while its weights hold the same
+    bytes, and computes it again after an in-place write or on a new weights
+    array, in a deep copy too; every output and weight gradient has the
+    bytes of `conv2d` computing B^T w itself."""
+    calls = []
+
+    def counted(w, b):
+        calls.append(b)
+        return reparameterize(w, b)
+
+    monkeypatch.setattr(layers, "reparameterize", counted)
+    rng = np.random.default_rng(3)
+    x = Var(rng.standard_normal((2, 3, 7, 7)).astype(np.float32),
+            requires_grad=False)
+    g = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
+
+    def check(layer, new_versions):
+        before = len(calls)
+        out = layer(x)
+        assert len(calls) - before == new_versions
+        layer.weights.zero_grad()
+        out.backward(g)
+        got = out.data.tobytes(), layer.weights.grad.tobytes()
+        layer.weights.zero_grad()
+        out = conv2d(x, layer.weights, layer.bias, padding=2,
+                     transform=layer.transform, depthwise=depthwise)
+        out.backward(g)
+        assert got == (out.data.tobytes(), layer.weights.grad.tobytes())
+
+    layer = Conv2d(3, 3, 5, padding=2, mode=Mode.CIRCULAR,
+                   depthwise=depthwise, rng=rng)
+    check(layer, 1)
+    check(layer, 0)
+    layer.weights.data[0, 0, 1, 2] += 1.0
+    check(layer, 1)
+    layer.weights.data = layer.weights.data * np.float32(0.5)
+    check(layer, 1)
+    layer.weights.data = layer.weights.data.copy()  # the same bytes
+    check(layer, 0)
+    clone = copy.deepcopy(layer)
+    check(clone, 0)
+    clone.weights.data[-1, 0, 4, 4] -= 1.0
+    check(clone, 1)
+    check(layer, 0)
 
 
 def test_circular_layers_share_one_transform_per_extent():
@@ -312,6 +367,12 @@ def _reference_pool(kind, x, g, k, stride, pad):
          dtype=np.float32, seed=6, fill="nan")
 @example(kind="max", n=1, c=2, h=5, w=5, k=3, stride=2, pad=1,
          dtype=np.float64, seed=7, fill="nan")
+# channels-last window rows of one element (N*C = 1), and odd extents at
+# stride 2
+@example(kind="max", n=1, c=1, h=6, w=7, k=3, stride=2, pad=1,
+         dtype=np.float32, seed=8, fill="normal")
+@example(kind="avg", n=2, c=3, h=9, w=7, k=3, stride=2, pad=1,
+         dtype=np.float64, seed=9, fill="normal")
 def test_pools_match_reference_bytes(kind, n, c, h, w, k, stride, pad, dtype,
                                      seed, fill):
     """max_pool2d and avg_pool2d give, forward and backward, the bytes of the
@@ -523,7 +584,7 @@ def test_depthwise_conv_builds_no_patches(monkeypatch, stride):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a depthwise conv used the patch engine")
 
-    for name in ("extract_patches", "_add_onto_windows"):
+    for name in ("extract_patches", "scatter_patches"):
         monkeypatch.setattr(layers, name, must_not_run)
     rng = np.random.default_rng(stride)
     x = Var(rng.standard_normal((2, 3, 9, 9)).astype(np.float32))

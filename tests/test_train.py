@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import orbiconv
+from orbiconv import layers
 from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.experiments import SmallCNN
 from orbiconv.train import (
@@ -18,6 +19,7 @@ from orbiconv.train import (
     lr_at,
     train,
 )
+from orbiconv.transform import reparameterize
 
 
 def _bars(n, seed, split=Split.TRAIN):
@@ -98,6 +100,22 @@ def test_overflowing_last_step_raises_numerical_error():
                   _bars(4, 1, Split.TEST),
                   TrainConfig(epochs=1, batch_size=len(train_ds),
                               lr_init=1e300))
+
+
+def test_evaluate_reparameterizes_each_circular_layer_once(monkeypatch):
+    """Two evaluations of a circle SmallCNN compute B^T w once per circular
+    layer in all: a frozen model keeps its effective kernels."""
+    calls = []
+
+    def counted(w, b):
+        calls.append(b)
+        return reparameterize(w, b)
+
+    monkeypatch.setattr(layers, "reparameterize", counted)
+    model = SmallCNN(kernel_size=5, shape="circle", seed=0)
+    ds = _bars(80, 4, Split.TEST)
+    assert evaluate(model, ds) == evaluate(model, ds)
+    assert len(calls) == 3
 
 
 def test_report_csv_round_trips_floats():
