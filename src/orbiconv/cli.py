@@ -27,7 +27,6 @@ from .experiments import (
     make_output_dir,
     robustness_csv,
     robustness_eval,
-    train_config,
     train_setup,
     write_manifest,
 )
@@ -121,7 +120,7 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = load_config(args.config)
-    scfg = train_config(cfg, SearchConfig(), "search", (
+    scfg = from_config(SearchConfig(), cfg, "search", (
         "num_nodes", "num_cells", "channels", "epochs", "batch_size",
         "lr_init", "weight_decay", "alpha_lr", "alpha_weight_decay", "seed"))
     data = data_config(cfg, SEARCH_DATA)

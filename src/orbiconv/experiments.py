@@ -175,13 +175,13 @@ def robustness_csv(rows: list[dict]) -> str:
 # Comparison model and driver
 
 
-def kernel_shape(shape: str) -> Mode | None:
+def kernel_shape(shape: str, name: str = "shape") -> Mode | None:
     """The Mode a SmallCNN shape name stands for; None for integrated."""
     modes = {"square": Mode.SQUARE, "circle": Mode.CIRCULAR,
              "circular": Mode.CIRCULAR, "integrated": None}
     if shape not in modes:
-        raise ValueError(f"unknown kernel shape {shape!r}, expected one of "
-                         f"{', '.join(modes)}")
+        raise ValueError(f"{name}: unknown kernel shape {shape!r}, expected "
+                         f"one of {', '.join(modes)}")
     return modes[shape]
 
 
@@ -332,22 +332,18 @@ def _read_section(cfg: Config, section: str, names: tuple[str, ...],
 
 
 def from_config(default, cfg: Config, section: str, names: tuple[str, ...]):
-    """The dataclass instance `default` with `names` read from `section.*`."""
-    return replace(default, **_read_section(cfg, section, names, vars(default)))
+    """The dataclass instance `default` with `names` read from `section.*`;
+    its ValueError, which starts with the field, is a ConfigError naming
+    the key (`train.epochs must be at least 1`)."""
+    values = _read_section(cfg, section, names, vars(default))
+    try:
+        return replace(default, **values)
+    except ValueError as e:
+        raise ConfigError(f"{section}.{e}") from None
 
 
 TRAIN_KEYS = ("epochs", "batch_size", "lr_init", "momentum", "weight_decay",
               "warmup_epochs", "seed")  # seed last: compare reads the rest
-
-
-def train_config(cfg: Config, default: TrainConfig = TrainConfig(),
-                 section: str = "train",
-                 names: tuple[str, ...] = TRAIN_KEYS) -> TrainConfig:
-    """`default` with `names` read from `section.*`; `epochs` must be >= 1."""
-    tcfg = from_config(default, cfg, section, names)
-    if tcfg.epochs < 1:
-        raise ConfigError(f"{section}.epochs must be at least 1")
-    return tcfg
 
 
 @dataclass
@@ -403,7 +399,7 @@ class CompareConfig:
     def __post_init__(self) -> None:
         # compare_kernels keys its errors by (shape, K): no entry may repeat,
         # and two names of one kernel shape are one entry
-        keys = {"shapes": [kernel_shape(shape) for shape in self.shapes],
+        keys = {"shapes": [kernel_shape(s, "shapes") for s in self.shapes],
                 "kernel_sizes": self.kernel_sizes, "seeds": self.seeds}
         for name, values in keys.items():
             if len(set(values)) < len(values):
@@ -416,7 +412,8 @@ class CompareConfig:
 def compare_config(cfg: Config) -> CompareConfig:
     """`compare.*`, `train.*` but the seed, and `integrated.*`."""
     ccfg = CompareConfig(data_config(cfg, DataConfig(), "compare", "dataset"),
-                         train_config(cfg, names=TRAIN_KEYS[:-1]),
+                         from_config(TrainConfig(), cfg, "train",
+                                     TRAIN_KEYS[:-1]),
                          integrated_options(cfg))
     return from_config(ccfg, cfg, "compare", ("shapes", "kernel_sizes", "seeds"))
 
@@ -430,7 +427,7 @@ class TrainSetup:
     model: dict  # SmallCNN options but `seed` and `num_classes`
 
     def __post_init__(self) -> None:
-        kernel_shape(self.model["shape"])
+        kernel_shape(self.model["shape"], "model.shape")
         check_kernel_size(self.model["kernel_size"], "model.kernel_size")
 
     def build(self) -> tuple[SmallCNN, Dataset, Dataset]:
@@ -444,7 +441,8 @@ class TrainSetup:
 def train_setup(cfg: Config) -> TrainSetup:
     """`train.*`, `data.*`, `model.*` and `integrated.*` of a train config,
     read and checked without generating any data."""
-    return TrainSetup(train_config(cfg), data_config(cfg),
+    return TrainSetup(from_config(TrainConfig(), cfg, "train", TRAIN_KEYS),
+                      data_config(cfg),
                       {**_read_section(cfg, "model", ("kernel_size", "shape"),
                                        SmallCNN.__init__.__kwdefaults__),
                        **integrated_options(cfg)})

@@ -102,14 +102,15 @@ def run_all_layer_checks(seed: int = 0, *, rtol: float = 1e-6,
     run("separable_circular", lambda: _loss_of(pw(dw(x)), proj),
         {"x": x, "w_dw": dw.weights, "w_pw": pw.weights})
 
-    # integrated layer with the branch frozen on each side
-    for branch in (Mode.SQUARE, Mode.CIRCULAR):
+    # integrated layer with the branch frozen on each side, and averaged
+    # (None): then both branches' weight gradients reach one tensor
+    for branch in (Mode.SQUARE, Mode.CIRCULAR, None):
         layer = IntegratedConv(2, 2, 3, padding=1, seed=seed, rng=rng,
                                dtype=np.float64)
         layer.current_choice = branch
         x = rand_input((1, 2, 5, 5))
         proj = rng.standard_normal(2 * 5 * 5)
-        run(f"integrated_frozen_{branch.value}",
+        run(f"integrated_frozen_{branch.value if branch else 'average'}",
             lambda l=layer, x=x, p=proj: _loss_of(l(x), p),
             {"x": x, "w": layer.weights, "b": layer.bias})
 

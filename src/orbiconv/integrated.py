@@ -1,6 +1,6 @@
-"""Integrated kernels: one shared weight tensor, two kernel shapes (no
-transform for the square branch, B for the circular one), with the active
-branch re-drawn per layer per training iteration.
+"""Integrated kernels: one shared weight tensor, two kernel shapes (the
+weights as they are for the square branch, B^T w for the circular one), with
+the active branch re-drawn per layer per training iteration.
 
 The draw is a pure function of (seed, stream id, iteration), so runs replay
 exactly and degenerate probabilities (p = 0 or 1) reduce bit-for-bit to the
@@ -27,9 +27,9 @@ class EvalBranch(Enum):
 class IntegratedConv(Conv2d):
     """Convolution layer whose kernel shape is sampled each iteration.
 
-    The inherited `transform` is the circular matrix B; the square branch
-    convolves without a transform. A `current_choice` of None averages the
-    two branches. `conv` holds Conv2d's keyword options but `mode`.
+    The inherited `kernel()` is the circular branch's B^T w; the square
+    branch convolves `weights` as they are. A `current_choice` of None
+    averages the two. `conv` holds Conv2d's keyword options but `mode`.
     """
 
     def __init__(self, cin: int, cout: int, k: int, *,
@@ -59,7 +59,7 @@ class IntegratedConv(Conv2d):
 
     def forward(self, x: Var) -> Var:
         if self.current_choice is None:
-            return scale(add(self._conv(x, None), self._conv(x, self.transform)),
-                         0.5)
-        return self._conv(x, self.transform
-                          if self.current_choice is Mode.CIRCULAR else None)
+            return scale(add(self._conv(x, self.weights),
+                             self._conv(x, self.kernel())), 0.5)
+        return self._conv(x, self.kernel() if self.current_choice
+                          is Mode.CIRCULAR else self.weights)

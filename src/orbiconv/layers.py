@@ -37,12 +37,13 @@ Against the fancy-index, scatter-add and einsum references in
 both gradients match to rounding. No bit depends on the input's memory
 layout, nor on the BLAS thread count.
 
-Circular layers hold a TransformMatrix and re-parameterize their weights
-once per weight version (effective kernel = B^T @ w): a `Conv2d` keeps it
-while its weights hold the same bytes. The backward pass maps the
-effective-kernel gradient back through the adjoint (B @ g). Square layers
-hold no transform and skip the product entirely, so a square layer and a
-circular layer differ only in the fixed matrix.
+A convolution knows no transform: `conv2d` convolves the kernel it is
+given. A circular layer's kernel is one autodiff op, `reparameterized`: its
+value is B^T w (the effective kernel of the equivalent standard
+convolution), which a `Conv2d` keeps while its weights hold the same bytes,
+and its backward maps the kernel gradient back through B's adjoint (B @ g),
+the one place the layers apply it. A square layer's kernel is its weights,
+so a square layer and a circular layer differ only in the fixed matrix.
 """
 
 from __future__ import annotations
@@ -169,16 +170,10 @@ def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
 
 
 def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
-           padding: int = 0, dilation: int = 1,
-           transform: TransformMatrix | None = None,
-           depthwise: bool = False, w_eff: np.ndarray | None = None) -> Var:
-    """2D convolution (cross-correlation) with optional weight
-    re-parameterization through a TransformMatrix.
-
-    weights: (Cout, Cin, K, K), or (C, 1, K, K) when depthwise.
-    w_eff: the (Cout, Cin, K*K) effective kernel B^T w of `weights` under
-    `transform`, when the caller holds it; computed here when None.
-    """
+           padding: int = 0, dilation: int = 1, depthwise: bool = False) -> Var:
+    """2D convolution (cross-correlation) of `x` with the kernel `weights`:
+    (Cout, Cin, K, K), or (C, 1, K, K) when depthwise. A circular kernel
+    comes in as `reparameterized` weights, so the conv never sees B."""
     n, c, h, w = x.data.shape
     cout, cin, k, k2 = weights.data.shape
     if k != k2:
@@ -190,34 +185,24 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
     elif cin != c:
         raise ValueError(f"input has {c} channels but weights expect {cin}")
 
-    kk = k * k
-    w_flat = weights.data.reshape(cout, cin, kk)
-    if transform is not None:
-        if transform.kernel_size != k or transform.dilation != dilation:
-            raise ValueError("transform does not match kernel size/dilation")
-        if w_eff is None:
-            w_eff = reparameterize(w_flat, transform)
-    else:
-        w_eff = w_flat
-
     oh, ow = _out_shape(h, w, k, stride, padding, dilation)
     if depthwise:
         # the K padded rows each output row reads, copied end to end, times
         # the channel's band: one BLAS product per sample and channel, so
         # no bit depends on the batch
-        dtype = np.result_type(x.data, w_eff)
+        dtype = np.result_type(x.data, weights.data)
         xp = _pad(x.data.astype(dtype, copy=False), padding)
         hp, wp = xp.shape[2:]
-        band = _band(w_eff.reshape(c, k, k).astype(dtype, copy=False), wp,
-                     ow, stride, dilation)
+        band = _band(weights.data.reshape(c, k, k).astype(dtype, copy=False),
+                     wp, ow, stride, dilation)
         rows = np.ascontiguousarray(_row_windows(xp, k, oh, stride, dilation))
         out = rows.reshape(n, c, oh, k * wp) @ band
     else:
         # the C-order patch matrix reshapes to (N, C*K*K, OH*OW) as a view,
         # so every gemm operand is C-contiguous; the backward reuses it
-        w_mat = w_eff.reshape(cout, cin * kk)
+        w_mat = weights.data.reshape(cout, cin * k * k)
         patches = extract_patches(x.data, k, stride, padding,
-                                  dilation).reshape(n, cin * kk, -1)
+                                  dilation).reshape(n, cin * k * k, -1)
         out = (w_mat @ patches).reshape(n, cout, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
@@ -244,14 +229,11 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
                         windows[:, :, :, kr].transpose(1, 0, 2, 3))
                     np.matmul(g_cn.transpose(0, 2, 1),
                               rows_kr.reshape(c, n * oh, wp), out=prod[:, kr])
-                g_eff = _band_taps(prod.transpose(0, 1, 3, 2), k, stride,
-                                   dilation).sum(axis=3)
+                g_w = _band_taps(prod.transpose(0, 1, 3, 2), k, stride,
+                                 dilation).sum(axis=3)
             else:
-                g_eff = (gl @ patches.transpose(0, 2, 1)).sum(axis=0)
-            if transform is not None:
-                g_eff = transform_gradient_pushforward(
-                    g_eff.reshape(cout, cin, kk), transform)
-            weights.accumulate(g_eff.reshape(weights.data.shape))
+                g_w = (gl @ patches.transpose(0, 2, 1)).sum(axis=0)
+            weights.accumulate(g_w.reshape(weights.data.shape))
         if x.requires_grad:
             if depthwise:
                 # the forward's adjoint, one BLAS product per sample and
@@ -269,6 +251,21 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
                                              stride, padding, dilation))
 
     return Var(out, parents, bw)
+
+
+def reparameterized(weights: Var, b: TransformMatrix,
+                    w_eff: np.ndarray) -> Var:
+    """The circular kernel of `weights` as one autodiff op. Its value is
+    `w_eff`, their B^T w over the K*K taps (which the caller may keep), in
+    the weights' shape; its backward maps the kernel gradient back through
+    B's adjoint, B @ g."""
+    shape = weights.data.shape
+
+    def bw(g: np.ndarray) -> None:
+        weights.accumulate(transform_gradient_pushforward(
+            g.reshape(*shape[:2], -1), b).reshape(shape))
+
+    return Var(w_eff.reshape(shape), (weights,), bw)
 
 
 def _pad_last(x: np.ndarray, pad: int, value: float) -> np.ndarray:
@@ -467,7 +464,7 @@ class Conv2d(Module):
     """A convolution layer with a kernel shape.
 
     A SQUARE layer convolves its weights as they are; a CIRCULAR layer
-    re-parameterizes them through the fixed bilinear matrix B.
+    convolves them re-parameterized through the fixed bilinear matrix B.
     """
 
     def __init__(self, cin: int, cout: int, k: int, *, stride: int = 1,
@@ -486,14 +483,17 @@ class Conv2d(Module):
         fan_in = k * k if depthwise else cin * k * k
         self.weights = Var(kaiming_uniform(wc, fan_in, rng, dtype))
         self.bias = Var(np.zeros(cout, dtype=dtype)) if bias else None
-        # (weight version, B^T w): see `_effective_kernel`
+        # (weight version, B^T w): see `kernel`
         self._reparam: tuple | None = None
 
-    def _effective_kernel(self) -> np.ndarray:
-        """B^T w, computed once per weight version. The version is the
-        weights' dtype, shape and bytes, so an optimizer step, a new array
-        and an in-place write each make a new one, and a frozen model
-        re-parameterizes once."""
+    def kernel(self) -> Var:
+        """The kernel this layer convolves: its weights when SQUARE, their
+        `reparameterized` op when CIRCULAR, with B^T w computed once per
+        weight version. The version is the weights' dtype, shape and bytes,
+        so an optimizer step, a new array and an in-place write each make a
+        new one, and a frozen model re-parameterizes once."""
+        if self.transform is None:
+            return self.weights
         w = self.weights.data
         version = (w.dtype, w.shape, w.tobytes())
         if self._reparam is None or self._reparam[0] != version:
@@ -501,17 +501,16 @@ class Conv2d(Module):
                                    self.transform)
             w_eff.flags.writeable = False
             self._reparam = (version, w_eff)
-        return self._reparam[1]
+        return reparameterized(self.weights, self.transform,
+                               self._reparam[1])
 
-    def _conv(self, x: Var, transform: TransformMatrix | None) -> Var:
-        return conv2d(x, self.weights, self.bias, stride=self.stride,
+    def _conv(self, x: Var, kernel: Var) -> Var:
+        return conv2d(x, kernel, self.bias, stride=self.stride,
                       padding=self.padding, dilation=self.dilation,
-                      transform=transform, depthwise=self.depthwise,
-                      w_eff=None if transform is None
-                      else self._effective_kernel())
+                      depthwise=self.depthwise)
 
     def forward(self, x: Var) -> Var:
-        return self._conv(x, self.transform)
+        return self._conv(x, self.kernel())
 
 
 class Linear(Module):

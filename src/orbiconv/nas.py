@@ -203,6 +203,15 @@ class SearchConfig(TrainConfig):
             raise ValueError("alpha_lr must be positive and finite")
         if not 0 <= self.alpha_weight_decay < math.inf:
             raise ValueError("alpha_weight_decay must be finite and at least 0")
+        # each name is one alpha column, and discretize keeps an op but zero
+        unknown = [n for n in self.op_names if n not in PRIMITIVES]
+        if unknown:
+            raise ValueError(f"op_names has unknown ops {unknown}, expected "
+                             f"some of {PRIMITIVES}")
+        if len(set(self.op_names)) < len(self.op_names):
+            raise ValueError(f"op_names repeats an op: {self.op_names}")
+        if not set(self.op_names) - {"zero"}:
+            raise ValueError("op_names needs an op other than zero")
 
 
 class SearchNetwork(Module):

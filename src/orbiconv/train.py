@@ -31,6 +31,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         # written so that a NaN fails each comparison
         if not 0 < self.lr_init < math.inf:
             raise ValueError("lr_init must be positive and finite")

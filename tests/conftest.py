@@ -15,6 +15,7 @@ from orbiconv.autodiff import Var
 from orbiconv.data import Dataset
 from orbiconv.experiments import WarpMode
 from orbiconv.geometry import circular_points
+from orbiconv.layers import reparameterized
 from orbiconv.transform import reparameterize, transform_gradient_pushforward
 
 
@@ -181,6 +182,17 @@ def reference_scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int]
     if pad > 0:
         gxp = gxp[:, :, pad:pad + h, pad:pad + w]
     return gxp
+
+
+def circular_kernel(weights: Var, b) -> Var:
+    """The kernel Var a conv of `weights` under the transform `b` convolves:
+    `weights` itself when `b` is None, else the layers' `reparameterized` op
+    on B^T w computed afresh."""
+    if b is None:
+        return weights
+    w = weights.data
+    return reparameterized(weights, b,
+                           reparameterize(w.reshape(*w.shape[:2], -1), b))
 
 
 # The einsum/im2col depthwise convolution that `orbiconv.layers.conv2d` ran

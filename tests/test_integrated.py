@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import circular_kernel
 from orbiconv.autodiff import Var, add, scale
 from orbiconv.data import Split, SynthKind, gen_synthetic
 from orbiconv.experiments import SmallCNN
@@ -35,17 +36,18 @@ def test_square_branch_matches_plain_square_conv():
 
 @pytest.mark.parametrize("branch", list(EvalBranch))
 def test_eval_branches_keep_bytes_with_a_reused_kernel(branch):
-    """Each eval branch gives the bytes of `conv2d` computing B^T w itself,
-    when the layer reuses its effective kernel and after an in-place write
-    to the weights."""
+    """Each eval branch gives the bytes of a kernel op on B^T w computed
+    afresh, when the layer reuses its effective kernel and after an
+    in-place write to the weights."""
     layer = IntegratedConv(2, 3, 5, padding=2, eval_branch=branch,
                            rng=np.random.default_rng(4))
     x = Var(np.random.default_rng(5).standard_normal((2, 2, 6, 6)).astype(
         np.float32), requires_grad=False)
 
     def direct() -> bytes:
-        square, circular = (conv2d(x, layer.weights, layer.bias, padding=2,
-                                   transform=t) for t in (None, layer.transform))
+        square, circular = (conv2d(x, circular_kernel(layer.weights, t),
+                                   layer.bias, padding=2)
+                            for t in (None, layer.transform))
         return {EvalBranch.SQUARE: square, EvalBranch.CIRCULAR: circular,
                 EvalBranch.AVERAGE: scale(add(square, circular), 0.5)
                 }[branch].data.tobytes()

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    circular_kernel,
     direct_circular_conv,
     direct_square_conv,
     reference_conv2d,
@@ -14,7 +15,7 @@ from conftest import (
     reference_scatter_patches,
 )
 from orbiconv import layers
-from orbiconv.autodiff import Var
+from orbiconv.autodiff import Var, frozen
 from orbiconv.gradcheck import run_all_layer_checks
 from orbiconv.geometry import Mode, circular_points
 from orbiconv.layers import (
@@ -50,7 +51,7 @@ def test_all_ones_circular_conv_row_stochastic():
     b = build_transform(circular_points(3))
     x = _const_var(np.ones((1, 1, 3, 3)))
     w = _const_var(np.ones((1, 1, 3, 3)))
-    out = conv2d(x, w, None, transform=b)
+    out = conv2d(x, circular_kernel(w, b), None)
     assert out.data[0, 0, 0, 0] == pytest.approx(9.0, abs=1e-12)
 
 
@@ -61,8 +62,9 @@ def test_circular_conv_matches_direct_sampling_oracle(k, d):
     size = d * (k - 1) + 4
     img = rng.standard_normal((size, size))
     w = rng.standard_normal((k, k))
-    out = conv2d(_const_var(img[None, None]), _const_var(w[None, None]), None,
-                 transform=b, dilation=d).data[0, 0]
+    out = conv2d(_const_var(img[None, None]),
+                 circular_kernel(_const_var(w[None, None]), b), None,
+                 dilation=d).data[0, 0]
     oracle = direct_circular_conv(img, w, k, d)
     assert np.abs(out - oracle).max() < 1e-10
 
@@ -109,7 +111,7 @@ def test_square_mode_identity_transform_is_plain_conv():
                    rng=rng, dtype=np.float64)
     out1 = layer(Var(x, requires_grad=False)).data
     out2 = conv2d(Var(x, requires_grad=False), layer.weights, layer.bias,
-                  padding=1, transform=None).data
+                  padding=1).data
     assert np.array_equal(out1, out2)
 
 
@@ -119,7 +121,7 @@ def test_circular_conv_reparameterizes_once_per_weight_version(monkeypatch,
     """A circular Conv2d reuses B^T w while its weights hold the same
     bytes, and computes it again after an in-place write or on a new weights
     array, in a deep copy too; every output and weight gradient has the
-    bytes of `conv2d` computing B^T w itself."""
+    bytes of the kernel op on B^T w computed afresh."""
     calls = []
 
     def counted(w, b):
@@ -140,8 +142,8 @@ def test_circular_conv_reparameterizes_once_per_weight_version(monkeypatch,
         out.backward(g)
         got = out.data.tobytes(), layer.weights.grad.tobytes()
         layer.weights.zero_grad()
-        out = conv2d(x, layer.weights, layer.bias, padding=2,
-                     transform=layer.transform, depthwise=depthwise)
+        out = conv2d(x, circular_kernel(layer.weights, layer.transform),
+                     layer.bias, padding=2, depthwise=depthwise)
         out.backward(g)
         assert got == (out.data.tobytes(), layer.weights.grad.tobytes())
 
@@ -160,6 +162,24 @@ def test_circular_conv_reparameterizes_once_per_weight_version(monkeypatch,
     clone.weights.data[-1, 0, 4, 4] -= 1.0
     check(clone, 1)
     check(layer, 0)
+
+
+def test_square_kernel_is_the_weights():
+    layer = Conv2d(2, 3, 3, mode=Mode.SQUARE)
+    assert layer.kernel() is layer.weights
+
+
+def test_circular_kernel_keeps_no_graph_when_frozen():
+    """Under `frozen` the kernel op is a constant: no parents, no backward;
+    outside it, its one parent is the weights."""
+    layer = Conv2d(2, 3, 5, mode=Mode.CIRCULAR)
+    with frozen(layer.params()):
+        kernel = layer.kernel()
+    assert kernel.parents == () and kernel.backward_fn is None
+    assert not kernel.requires_grad
+    live = layer.kernel()
+    assert live.parents == (layer.weights,) and live.backward_fn is not None
+    assert live.data.shape == layer.weights.data.shape
 
 
 def test_circular_layers_share_one_transform_per_extent():
@@ -212,7 +232,7 @@ def test_depthwise_constant_input_circular():
     b = build_transform(circular_points(3))
     x = _const_var(np.full((1, 2, 5, 5), 2.0))
     w = np.random.default_rng(14).standard_normal((2, 1, 3, 3))
-    out = conv2d(x, _const_var(w), None, padding=0, transform=b,
+    out = conv2d(x, circular_kernel(_const_var(w), b), None, padding=0,
                  depthwise=True).data
     for c in range(2):
         assert np.allclose(out[0, c], 2.0 * w[c].sum(), atol=1e-12)
@@ -482,9 +502,13 @@ def _check_conv(n, cin, cout, h, w, k, stride, dil, pad, dtypes, circular,
                  if circular and k > 1 else None)
     kwargs = dict(stride=stride, padding=pad, dilation=dil, transform=transform)
     reference = reference_conv2d if depthwise else reference_dense_conv2d
+
+    def conv(x, wt, transform, **kw):
+        return conv2d(x, circular_kernel(wt, transform), None,
+                      depthwise=depthwise, **kw)
+
     ref = _conv_and_grads(reference, x_data, w_data, seed + 1, **kwargs)
-    got = _conv_and_grads(conv2d, x_data, w_data, seed + 1, bias=None,
-                          depthwise=depthwise, **kwargs)
+    got = _conv_and_grads(conv, x_data, w_data, seed + 1, **kwargs)
     if isinstance(ref, str):
         assert got == ref and "zero-sized output" in ref
         return None, None
@@ -498,9 +522,8 @@ def _check_conv(n, cin, cout, h, w, k, stride, dil, pad, dtypes, circular,
         rtol = 1e-5 if b.dtype == np.float32 else 1e-12
         assert np.all(np.abs(b - a) <= rtol * np.abs(c))
     for layout in ("hwnc", "chwn"):
-        other = _conv_and_grads(conv2d, _laid_out(x_data, layout), w_data,
-                                seed + 1, bias=None, depthwise=depthwise,
-                                **kwargs)
+        other = _conv_and_grads(conv, _laid_out(x_data, layout), w_data,
+                                seed + 1, **kwargs)
         assert [a.tobytes() for a in other] == [b.tobytes() for b in got]
     return ref, got
 
@@ -589,8 +612,8 @@ def test_depthwise_conv_builds_no_patches(monkeypatch, stride):
     rng = np.random.default_rng(stride)
     x = Var(rng.standard_normal((2, 3, 9, 9)).astype(np.float32))
     wt = Var(rng.standard_normal((3, 1, 5, 5)).astype(np.float32))
-    out = conv2d(x, wt, None, stride=stride, padding=4, dilation=2,
-                 transform=circular_transform(5, 2), depthwise=True)
+    out = conv2d(x, circular_kernel(wt, circular_transform(5, 2)), None,
+                 stride=stride, padding=4, dilation=2, depthwise=True)
     out.backward(np.ones_like(out.data))
     assert x.grad.shape == x.data.shape and np.all(np.isfinite(x.grad))
     assert wt.grad.shape == wt.data.shape and np.all(np.isfinite(wt.grad))

@@ -347,6 +347,27 @@ def test_search_config_is_a_validated_train_config():
         SearchConfig(momentum=1.0)
 
 
+@pytest.mark.parametrize("op_names, message", [
+    (["zero"], "op_names needs an op other than zero"),
+    ([], "op_names needs an op other than zero"),
+    (["identity", "identity"], "op_names repeats an op"),
+    (["identity", "conv_7x7"], "op_names has unknown ops"),
+], ids=["only-zero", "empty", "repeated", "unknown"])
+def test_search_config_rejects_a_bad_op_list(op_names, message):
+    """An op list that discretize cannot pick from, that gives two alpha
+    columns to one op or that names no primitive is rejected, naming
+    `op_names`, before any search runs. `["zero"]` used to run the whole
+    search and then fail in numpy's argmax of an empty sequence."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SearchConfig(op_names=op_names)
+
+
+def test_search_config_accepts_the_planted_and_full_op_lists():
+    for names in (["sep_conv_5x5", "circ_sep_conv_5x5", "zero"],
+                  list(PRIMITIVES), ["zero", "identity"]):
+        assert SearchConfig(op_names=names).op_names == names
+
+
 def test_each_search_phase_differentiates_only_what_it_steps():
     """Over one weight step and one alpha step, freezing the other group
     leaves the stepped group's gradients byte-identical and the frozen

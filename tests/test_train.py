@@ -9,8 +9,10 @@ import pytest
 
 import orbiconv
 from orbiconv import layers
+from orbiconv.autodiff import Var
 from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.experiments import SmallCNN
+from orbiconv.nas import SearchConfig
 from orbiconv.train import (
     NumericalError,
     TrainConfig,
@@ -19,7 +21,7 @@ from orbiconv.train import (
     lr_at,
     train,
 )
-from orbiconv.transform import reparameterize
+from orbiconv.transform import reparameterize, transform_gradient_pushforward
 
 
 def _bars(n, seed, split=Split.TRAIN):
@@ -47,11 +49,13 @@ def test_config_validation():
         TrainConfig(momentum=1.0)
 
 
-def test_zero_epochs_returns_empty_report():
-    model = SmallCNN(channels=(4,), seed=0)
-    report = train(model, _bars(4, 0), _bars(4, 1, Split.TEST),
-                   TrainConfig(epochs=0))
-    assert report.train_loss == [] and report.test_err == []
+@pytest.mark.parametrize("config", [TrainConfig, SearchConfig],
+                         ids=lambda c: c.__name__)
+def test_zero_epochs_is_rejected(config):
+    """`epochs >= 1` is the configs' own rule, so no run starts without a
+    step."""
+    with pytest.raises(ValueError, match="^epochs must be at least 1$"):
+        config(epochs=0)
 
 
 def test_training_is_bit_deterministic():
@@ -116,6 +120,25 @@ def test_evaluate_reparameterizes_each_circular_layer_once(monkeypatch):
     ds = _bars(80, 4, Split.TEST)
     assert evaluate(model, ds) == evaluate(model, ds)
     assert len(calls) == 3
+
+
+def test_one_backward_applies_b_adjoint_once_per_circular_layer(monkeypatch):
+    """B's adjoint has one caller, the circular kernel op: one backward of
+    a circle SmallCNN applies it once per conv layer, and every parameter
+    gets a gradient."""
+    calls = []
+
+    def counted(g, b):
+        calls.append(b)
+        return transform_gradient_pushforward(g, b)
+
+    monkeypatch.setattr(layers, "transform_gradient_pushforward", counted)
+    model = SmallCNN(kernel_size=5, shape="circle", seed=0)
+    ds = _bars(8, 0)
+    layers.softmax_cross_entropy(model(Var(ds.images, requires_grad=False)),
+                                 ds.labels).backward()
+    assert len(calls) == 3
+    assert all(p.grad is not None for p in model.params())
 
 
 def test_report_csv_round_trips_floats():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    circular_kernel,
     direct_bilinear_at,
     reference_reparameterize,
     reference_resample_patch,
@@ -208,7 +209,8 @@ def test_equivalence_identity_conv(k):
         img = rng.standard_normal((1, 1, 16, 16))
         w = rng.standard_normal((1, 1, k, k))
         out1 = conv2d(Var(img, requires_grad=False),
-                      Var(w, requires_grad=False), None, transform=b).data
+                      circular_kernel(Var(w, requires_grad=False), b),
+                      None).data
         patches = extract_patches(img, k, 1, 0, 1)[0, 0]
         out2 = (w.reshape(-1) @ resample_patch(patches.T, b).T).reshape(out1.shape)
         assert np.abs(out1 - out2).max() < 1e-12
