@@ -8,13 +8,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .analysis import verify_delta_identity
-from .data import SynthKind, gen_synthetic
+from .data import SynthKind, check_image_size, gen_synthetic
 from .experiments import (
     SEARCH_DATA,
     ConfigError,
@@ -24,7 +23,7 @@ from .experiments import (
     data_config,
     from_config,
     load_config,
-    make_output_dir,
+    output_dir,
     robustness_csv,
     robustness_eval,
     train_setup,
@@ -78,8 +77,10 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     setup = train_setup(cfg)
-    out_dir = make_output_dir(cfg)
-    report = train(*setup.build(), setup.train)
+    out_dir = output_dir(cfg)
+    model, train_ds, test_ds = setup.build()
+    os.makedirs(out_dir, exist_ok=True)
+    report = train(model, train_ds, test_ds, setup.train)
     path = os.path.join(out_dir, "train_report.csv")
     _write(path, report.to_csv())
     write_manifest(out_dir, cfg, setup.train.seed, [path])
@@ -90,9 +91,11 @@ def _cmd_train(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     ccfg = compare_config(cfg)
-    out_dir = make_output_dir(cfg)
+    out_dir = output_dir(cfg)
     paths = [os.path.join(out_dir, f"compare.{ext}") for ext in ("csv", "svg")]
-    for path, text in zip(paths, compare_kernels(ccfg)):
+    texts = compare_kernels(ccfg)
+    os.makedirs(out_dir, exist_ok=True)
+    for path, text in zip(paths, texts):
         _write(path, text)
     write_manifest(out_dir, cfg, ccfg.seeds, paths)
     print(f"wrote {paths[0]} and {paths[1]}")
@@ -103,11 +106,11 @@ def _cmd_robustness(args) -> int:
     cfg = load_config(args.config)
     setup = train_setup(cfg)
     sweep = from_config(RobustnessSweep(), cfg, "robustness",
-                        ("mode", "trials", "seed"))
-    sweep = replace(sweep, angle_ranges=cfg.value("robustness.angles",
-                                                  sweep.angle_ranges))
-    out_dir = make_output_dir(cfg)
+                        ("angle_ranges", "mode", "trials", "seed"),
+                        {"angle_ranges": "angles"})
+    out_dir = output_dir(cfg)
     model, train_ds, test_ds = setup.build()
+    os.makedirs(out_dir, exist_ok=True)
     report = train(model, train_ds, test_ds, setup.train)
     rows = robustness_eval(model, test_ds, sweep)
     path = os.path.join(out_dir, "robustness.csv")
@@ -176,6 +179,14 @@ def positive(text: str) -> int:
     return n
 
 
+def image_size(text: str) -> int:
+    try:
+        check_image_size(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return int(text)
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--kind", choices=[k.value for k in SynthKind],
                    default="ring_vs_cross")
     d.add_argument("--n", type=positive, default=40)
-    d.add_argument("--size", type=int, default=16)
+    d.add_argument("--size", type=image_size, default=16)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", type=nonempty, required=True)
     d.set_defaults(func=_cmd_gen_data)

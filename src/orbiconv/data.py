@@ -84,6 +84,20 @@ def _splat(canvas: np.ndarray, template: np.ndarray, row: int, col: int,
     canvas[row:row + k, col:col + k] += amplitude * template
 
 
+# The largest image side of a synthetic dataset. A K = 5 SmallCNN step on
+# a batch of 16 images of side 256 holds im2col patches of 0.1-0.2 GB per
+# layer; each doubling of the side takes four times that.
+MAX_IMAGE_SIZE = 256
+
+
+def check_image_size(size: int) -> None:
+    """Raise ValueError unless 8 <= size <= MAX_IMAGE_SIZE."""
+    if size < 8:
+        raise ValueError(f"size must be at least 8, got {size}")
+    if size > MAX_IMAGE_SIZE:
+        raise ValueError(f"size must be at most {MAX_IMAGE_SIZE}, got {size}")
+
+
 def gen_synthetic(kind: SynthKind, n_per_class: int, size: int,
                   seed: int, split_tag: Split = Split.TRAIN) -> Dataset:
     """Deterministic synthetic two-class images.
@@ -97,8 +111,7 @@ def gen_synthetic(kind: SynthKind, n_per_class: int, size: int,
     Both classes also carry label-uncorrelated corner-dot distractor splats
     that a circular kernel cannot resolve.
     """
-    if size < 8:
-        raise ValueError("size must be >= 8")
+    check_image_size(size)
     rng = stream(seed, f"synth/{kind.value}")
     n = 2 * n_per_class
     images = np.zeros((n, 1, size, size), dtype=np.float32)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, SynthKind, gen_synthetic
+from .data import Dataset, SynthKind, check_image_size, gen_synthetic
 from .geometry import Mode, check_kernel_size
 from .integrated import EvalBranch, IntegratedConv
 from .autodiff import relu
@@ -44,7 +44,7 @@ class RobustnessSweep:
     def __post_init__(self) -> None:
         for a in self.angle_ranges:
             if not 0 < a < 90:
-                raise ValueError(f"angle range {a} not in (0, 90)")
+                raise ValueError(f"angle_ranges must be in (0, 90), got {a}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
@@ -331,15 +331,22 @@ def _read_section(cfg: Config, section: str, names: tuple[str, ...],
     return {n: cfg.value(f"{section}.{n}", defaults[n]) for n in names}
 
 
-def from_config(default, cfg: Config, section: str, names: tuple[str, ...]):
-    """The dataclass instance `default` with `names` read from `section.*`;
-    its ValueError, which starts with the field, is a ConfigError naming
-    the key (`train.epochs must be at least 1`)."""
-    values = _read_section(cfg, section, names, vars(default))
+def from_config(default, cfg: Config, section: str, names: tuple[str, ...],
+                keys: dict[str, str] | None = None):
+    """The dataclass instance `default` with the fields `names` read from
+    `section.<key>`, where a field's key is its name unless `keys` maps it
+    to another (`robustness.angles` sets `angle_ranges`); its ValueError,
+    which starts with the field, is a ConfigError naming the key
+    (`train.epochs must be at least 1`)."""
+    keys = keys or {}
+    values = {n: cfg.value(f"{section}.{keys.get(n, n)}", getattr(default, n))
+              for n in names}
     try:
         return replace(default, **values)
     except ValueError as e:
-        raise ConfigError(f"{section}.{e}") from None
+        field, space, rest = str(e).partition(" ")
+        raise ConfigError(
+            f"{section}.{keys.get(field, field)}{space}{rest}") from None
 
 
 TRAIN_KEYS = ("epochs", "batch_size", "lr_init", "momentum", "weight_decay",
@@ -355,8 +362,7 @@ class DataConfig:
     def __post_init__(self) -> None:
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be at least 1")
-        if self.size < 8:
-            raise ValueError("size must be at least 8")
+        check_image_size(self.size)
 
     def splits(self, seed: int) -> tuple[Dataset, Dataset]:
         """The train split of `seed` and the test split, seeded 10_000 higher."""
@@ -448,11 +454,17 @@ def train_setup(cfg: Config) -> TrainSetup:
                        **integrated_options(cfg)})
 
 
-def make_output_dir(cfg: Config) -> str:
-    """Reject unread keys, then create `out.dir` and return its path."""
+def output_dir(cfg: Config) -> str:
+    """Reject unread keys, then return `out.dir` once it is a writable
+    directory or its nearest existing ancestor is one. Nothing is created:
+    a command makes the directory when its data exist."""
     out_dir = cfg.value("out.dir", ".")
     cfg.reject_unread()
-    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path) or not os.access(path, os.W_OK | os.X_OK):
+        raise OSError(f"{out_dir}: {path} is not a writable directory")
     return out_dir
 
 

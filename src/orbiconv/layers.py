@@ -1,20 +1,26 @@
 """Convolution, pooling and dense layers over the autodiff engine.
 
-Dense convs read the padded input through one strided view,
-`_tap_windows`: kernel slot (kr, kc) reads the pixel displaced by
-(row, col) = (d*(kr-m), d*(kc-m)), which is exactly the row-major
-flattening used by the geometry and transform modules. They copy it into
-one C-order (N, C, K*K, OH*OW) patch matrix (`extract_patches`) and run as
-BLAS matmuls on it; col2im (`scatter_patches`) adds each slot's patch
-gradient onto the window that slot read, slots in order from a zero start.
-Pools copy no patches: they read the same windows of a padded
-channels-last (H, W, N, C) copy (`_windows_last`), so each slot's pass runs
+Kernel slot (kr, kc) reads the pixel displaced by (row, col) =
+(d*(kr-m), d*(kc-m)), which is exactly the row-major flattening used by
+the geometry and transform modules. Dense convs run as BLAS matmuls on one
+C-order (N, C, K*K, OH*OW) patch matrix (`extract_patches`), built by two
+copies in long runs: K column-shifted copies (K, N, C, Hp, OW) of the
+padded input, then the patches from their rows, so at stride 1 each
+(n, c, slot) window is one contiguous run of OH*OW elements. col2im
+(`scatter_patches`) transposes the gemm's patch gradients slot-major once,
+(K*K, OH, OW, N, C), and adds each slot's gradients onto the window that
+slot read in a channels-last (Hp, Wp, N, C) buffer, slots in order from a
+zero start (`_window_adjoint`). A 1x1, stride-1, unpadded conv skips both:
+its patches are the (C-contiguous) input, and its input gradient goes to
+`accumulate`, whose first pass is col2im's +0.0 + g.
+Pools copy no patches: they read the same channels-last windows
+(`_windows_last`) of a padded copy of the input, so each slot's pass runs
 over rows of N*C elements (OW*N*C at stride 1), not over one output row.
 They fold the windows in slot order, a sum from a zero start or a running
 `np.maximum`; their input gradients add one term per slot onto a
-channels-last buffer the same way (`_pool_input_grad`): the avg pool the
-output gradient over K*K, the max pool the output gradient on the first
-slot that holds the maximum and +0.0 on the others.
+channels-last buffer as col2im does: the avg pool the output gradient over
+K*K, the max pool the output gradient on the first slot that holds the
+maximum and +0.0 on the others.
 
 Depthwise convs copy no patches. Each output row reads K padded input
 rows, one per kernel row (`_row_windows`); laid end to end, they times a
@@ -33,9 +39,9 @@ non-finite output gradient every input gradient of its sample and channel;
 the loss check of a training step stops such a step first.
 
 Against the fancy-index, scatter-add and einsum references in
-`tests/conftest.py`: pools keep every byte; dense and depthwise outputs and
-both gradients match to rounding. No bit depends on the input's memory
-layout, nor on the BLAS thread count.
+`tests/conftest.py`: im2col, col2im and the pools keep every byte; dense
+and depthwise outputs and both gradients match to rounding. No bit depends
+on the input's memory layout, nor on the BLAS thread count.
 
 A convolution knows no transform: `conv2d` convolves the kernel it is
 given. A circular layer's kernel is one autodiff op, `reparameterized`: its
@@ -86,27 +92,6 @@ def _pad(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
-def _tap_windows(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
-                 dil: int, writeable: bool = False) -> np.ndarray:
-    """(N, C, K, K, OH, OW) view of a padded input: [:, :, kr, kc] is the
-    strided window kernel slot (kr, kc) reads. No two elements of one
-    slot's window share memory, so a slot's window may be added onto."""
-    sn, sc, sh, sw = xp.strides
-    return as_strided(xp, xp.shape[:2] + (k, k, oh, ow),
-                      (sn, sc, dil * sh, dil * sw, stride * sh, stride * sw),
-                      writeable=writeable)
-
-
-def extract_patches(x: np.ndarray, k: int, stride: int, pad: int,
-                    dil: int) -> np.ndarray:
-    """(N, C, H, W) -> C-order (N, C, K*K, OH*OW) copy of the padded
-    input's tap windows: the one layout every dense conv reads patches in."""
-    n, c, h, w = x.shape
-    oh, ow = _out_shape(h, w, k, stride, pad, dil)
-    return np.ascontiguousarray(_tap_windows(_pad(x, pad), k, oh, ow, stride,
-                                             dil)).reshape(n, c, k * k, oh * ow)
-
-
 def _row_windows(xp: np.ndarray, k: int, oh: int, stride: int,
                  dil: int) -> np.ndarray:
     """(N, C, OH, K, Wp) view of a padded input: [:, :, i, kr] is the
@@ -154,19 +139,75 @@ def _row_adjoint(k: int, oh: int, hp: int, stride: int, dil: int,
     return adj
 
 
+def _pad_last(x: np.ndarray, pad: int, value: float) -> np.ndarray:
+    """(N, C, H, W) -> channels-last (H + 2*pad, W + 2*pad, N, C) copy with
+    `value` borders."""
+    n, c, h, w = x.shape
+    xp = np.full((h + 2 * pad, w + 2 * pad, n, c), value, x.dtype)
+    xp[pad:pad + h, pad:pad + w] = x.transpose(2, 3, 0, 1)
+    return xp
+
+
+def _windows_last(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
+                  dil: int, writeable: bool = False) -> np.ndarray:
+    """(K, K, OH, OW, N, C) view of a channels-last (Hp, Wp, N, C) buffer:
+    [kr, kc] is the window kernel slot (kr, kc) reads. A window row is N*C
+    contiguous elements (OW*N*C at stride 1). No two elements of one
+    slot's window share memory, so a slot's window may be added onto."""
+    sh, sw = xp.strides[:2]
+    return as_strided(xp, (k, k, oh, ow) + xp.shape[2:],
+                      (dil * sh, dil * sw, stride * sh, stride * sw)
+                      + xp.strides[2:], writeable=writeable)
+
+
+def _window_adjoint(term, in_shape: tuple[int, int, int, int], k: int,
+                    stride: int, pad: int, dil: int, dtype) -> np.ndarray:
+    """Adjoint of window reads (col2im and both pools' input gradients):
+    each kernel slot's (OH, OW, N, C) `term(slot)` added onto the
+    channels-last window that slot read, slots in order 0..K*K-1 from a
+    zero start; an (N, C, H, W) view."""
+    n, c, h, w = in_shape
+    oh, ow = _out_shape(h, w, k, stride, pad, dil)
+    gxp = np.zeros((h + 2 * pad, w + 2 * pad, n, c), dtype)
+    win = _windows_last(gxp, k, oh, ow, stride, dil, writeable=True)
+    for slot in range(k * k):
+        win[slot // k, slot % k] += term(slot)
+    return gxp[pad:pad + h, pad:pad + w].transpose(2, 3, 0, 1)
+
+
+def extract_patches(x: np.ndarray, k: int, stride: int, pad: int,
+                    dil: int) -> np.ndarray:
+    """(N, C, H, W) -> C-order (N, C, K*K, OH*OW) patches of the padded
+    input: [n, c, kr*K + kc, i*OW + j] is the pixel (d*kr + s*i,
+    d*kc + s*j). Both copies are no-ops, and the patches alias the input,
+    for a 1x1, stride-1, unpadded conv on a C-contiguous input."""
+    n, c, h, w = x.shape
+    oh, ow = _out_shape(h, w, k, stride, pad, dil)
+    xp = _pad(x, pad)
+    sn, sc, sh, sw = xp.strides
+    # cols[kc, n, c, r, j] = xp[n, c, r, d*kc + s*j]
+    cols = np.ascontiguousarray(as_strided(
+        xp, (k, n, c, xp.shape[2], ow), (dil * sw, sn, sc, sh, stride * sw),
+        writeable=False))
+    tk, tn, tc, th, tw = cols.strides
+    return np.ascontiguousarray(as_strided(
+        cols, (n, c, k, k, oh, ow), (tn, tc, dil * th, tk, stride * th, tw),
+        writeable=False)).reshape(n, c, k * k, oh * ow)
+
+
 def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
                     k: int, stride: int, pad: int, dil: int) -> np.ndarray:
     """Adjoint of extract_patches: add each kernel slot's patch gradients
-    onto the strided window that slot read, slots in order 0..K*K-1 from a
-    zero start."""
+    onto the window that slot read, slots in order 0..K*K-1 from a zero
+    start. One 2-D transpose makes the (N, C, K*K, OH*OW) gradients
+    slot-major (K*K, OH, OW, N, C), so each slot adds channels-last rows
+    of OW*N*C elements at stride 1; an (N, C, H, W) view."""
     n, c, h, w = in_shape
     oh, ow = _out_shape(h, w, k, stride, pad, dil)
-    g = g.reshape(n, c, k * k, oh, ow)
-    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), g.dtype)
-    win = _tap_windows(gxp, k, oh, ow, stride, dil, writeable=True)
-    for slot in range(k * k):
-        win[:, :, slot // k, slot % k] += g[:, :, slot]
-    return gxp[:, :, pad:pad + h, pad:pad + w]
+    g_last = np.ascontiguousarray(g.reshape(n * c, -1).T).reshape(
+        k * k, oh, ow, n, c)
+    return _window_adjoint(lambda slot: g_last[slot], in_shape, k, stride,
+                           pad, dil, g.dtype)
 
 
 def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
@@ -246,6 +287,11 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
                                    g_rows.dtype) @ g_rows
                 x.accumulate(gxp[:, :, padding:padding + h,
                                  padding:padding + w])
+            elif k == 1 and stride == 1 and padding == 0:
+                # the patches are the input, and col2im would be +0.0 + g:
+                # accumulate's first pass does that, and a later += adds
+                # onto a gradient that is never -0.0, so no byte changes
+                x.accumulate((w_mat.T @ gl).reshape(x.data.shape))
             else:
                 x.accumulate(scatter_patches(w_mat.T @ gl, x.data.shape, k,
                                              stride, padding, dilation))
@@ -268,47 +314,13 @@ def reparameterized(weights: Var, b: TransformMatrix,
     return Var(w_eff.reshape(shape), (weights,), bw)
 
 
-def _pad_last(x: np.ndarray, pad: int, value: float) -> np.ndarray:
-    """(N, C, H, W) -> channels-last (H + 2*pad, W + 2*pad, N, C) copy with
-    `value` borders."""
-    n, c, h, w = x.shape
-    xp = np.full((h + 2 * pad, w + 2 * pad, n, c), value, x.dtype)
-    xp[pad:pad + h, pad:pad + w] = x.transpose(2, 3, 0, 1)
-    return xp
-
-
-def _windows_last(xp: np.ndarray, k: int, oh: int, ow: int, stride: int,
-                  writeable: bool = False) -> np.ndarray:
-    """(K, K, OH, OW, N, C) view of a channels-last (Hp, Wp, N, C) buffer:
-    [kr, kc] is the window kernel slot (kr, kc) reads at dilation 1. A
-    window row is N*C contiguous elements (OW*N*C at stride 1)."""
-    sh, sw = xp.strides[:2]
-    return as_strided(xp, (k, k, oh, ow) + xp.shape[2:],
-                      (sh, sw, stride * sh, stride * sw) + xp.strides[2:],
-                      writeable=writeable)
-
-
-def _pool_input_grad(term, in_shape: tuple[int, int, int, int], k: int,
-                     stride: int, pad: int, dtype) -> np.ndarray:
-    """Adjoint of a pool's window reads: each kernel slot's (OH, OW, N, C)
-    `term(slot)` added onto the channels-last window that slot read, slots
-    in order 0..K*K-1 from a zero start; an (N, C, H, W) view."""
-    n, c, h, w = in_shape
-    oh, ow = _out_shape(h, w, k, stride, pad, 1)
-    gxp = np.zeros((h + 2 * pad, w + 2 * pad, n, c), dtype)
-    win = _windows_last(gxp, k, oh, ow, stride, writeable=True)
-    for slot in range(k * k):
-        win[slot // k, slot % k] += term(slot)
-    return gxp[pad:pad + h, pad:pad + w].transpose(2, 3, 0, 1)
-
-
 def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     oh, ow = _out_shape(*x.data.shape[2:], k, stride, padding, 1)
     # the tap windows folded in slot order, the new tap first: on a tie
     # np.maximum returns its second operand, the earlier slot, as argmax
     # keeps the first maximum (which tells -0.0 from +0.0); a NaN propagates
     xp = _pad_last(x.data, padding, -np.inf)
-    taps = _windows_last(xp, k, oh, ow, stride)
+    taps = _windows_last(xp, k, oh, ow, stride, 1)
     top = taps[0, 0].copy()
     for slot in range(1, k * k):
         np.maximum(taps[slot // k, slot % k], top, out=top)
@@ -323,7 +335,7 @@ def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
         # gradients not routed yet. Selecting on the bits keeps inf and NaN
         # gradients exact, where g * hit would give inf * 0 = NaN.
         bits = np.dtype(f"u{xp.itemsize}")
-        win = _windows_last(xp, k, oh, ow, stride).view(bits)
+        win = _windows_last(xp, k, oh, ow, stride, 1).view(bits)
         target = top.view(bits)
         left = g.transpose(2, 3, 0, 1).astype(xp.dtype, order="C").view(bits)
         hit, m = np.empty(top.shape, bool), np.empty(top.shape, bits)
@@ -334,8 +346,8 @@ def max_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
             np.bitwise_xor(left, m, out=left)
             return m.view(xp.dtype)
 
-        x.accumulate(_pool_input_grad(route, x.data.shape, k, stride,
-                                      padding, xp.dtype))
+        x.accumulate(_window_adjoint(route, x.data.shape, k, stride,
+                                     padding, 1, xp.dtype))
 
     return Var(out, (x,), bw)
 
@@ -345,7 +357,8 @@ def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
     oh, ow = _out_shape(h, w, k, stride, padding, 1)
     # the tap windows added in slot order from a zero start, as the
     # reference sums a patch's slots; no patch copy
-    win = _windows_last(_pad_last(x.data, padding, 0.0), k, oh, ow, stride)
+    win = _windows_last(_pad_last(x.data, padding, 0.0), k, oh, ow,
+                        stride, 1)
     total = np.zeros((oh, ow, n, c), x.data.dtype)
     for slot in range(k * k):
         total += win[slot // k, slot % k]
@@ -357,8 +370,8 @@ def avg_pool2d(x: Var, k: int = 3, stride: int = 1, padding: int = 1) -> Var:
             return
         g_slot = np.divide(g.transpose(2, 3, 0, 1), k * k,
                            out=np.empty((oh, ow, n, c), g.dtype))
-        x.accumulate(_pool_input_grad(lambda slot: g_slot, x.data.shape, k,
-                                      stride, padding, g_slot.dtype))
+        x.accumulate(_window_adjoint(lambda slot: g_slot, x.data.shape, k,
+                                     stride, padding, 1, g_slot.dtype))
 
     return Var(out, (x,), bw)
 

@@ -221,6 +221,9 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("robustness", "data.n_per_class = 0", "n_per_class must be at least 1"),
     ("train", "data.size = 4", "size must be at least 8"),
     ("robustness", "data.size = 4", "size must be at least 8"),
+    ("train", "data.size = 100000", "data.size must be at most 256"),
+    ("robustness", "robustness.angles = 95",
+     "robustness.angles must be in (0, 90), got 95"),
     ("train", "train.lr_init = nan", "lr_init must be positive and finite"),
     ("search", "search.lr_init = inf", "lr_init must be positive and finite"),
     ("train", "train.warmup_epochs = -3", "warmup_epochs must be at least 0"),
@@ -245,7 +248,8 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "search-cells-negative", "train-even-kernel",
         "robustness-unknown-shape", "robustness-trials-0",
         "train-n-per-class-0", "robustness-n-per-class-0", "train-size-4",
-        "robustness-size-4", "train-lr-nan", "search-lr-inf",
+        "robustness-size-4", "train-size-100000", "robustness-angle-95",
+        "train-lr-nan", "search-lr-inf",
         "train-warmup-negative", "train-weight-decay-negative",
         "compare-weight-decay-nan", "search-weight-decay-negative",
         "search-alpha-lr-nan", "search-alpha-lr-0",
@@ -307,6 +311,23 @@ def test_out_dir_is_checked_before_any_data(tmp_path, capsys, monkeypatch,
     cfg.write_text(f"data.n_per_class = 2000\nout.dir = {tmp_path / 'file'}\n")
     assert main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("cannot write output: ")
+
+
+@pytest.mark.parametrize("command", ["train", "robustness"])
+def test_out_dir_is_made_after_the_data(tmp_path, capsys, monkeypatch,
+                                        command):
+    """A data generation that fails leaves no `out.dir` behind: the
+    directory is made once the data exist."""
+    def fail(*args, **kwargs):
+        raise ValueError("no data")
+
+    monkeypatch.setattr(experiments, "gen_synthetic", fail)
+    out = tmp_path / "out" / "nested"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"out.dir = {out}\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "no data" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, path", [
@@ -475,12 +496,14 @@ def test_readme_key_table_is_what_each_command_checks(tmp_path, capsys,
      "--dot"),
     (["identity-check", "--trials", "0"], "--trials"),
     (["gen-data", "--n", "0", "--out", "TMP/ds"], "--n"),
+    (["gen-data", "--size", "100000", "--out", "TMP/ds"], "--size"),
 ], ids=["search-empty-out", "search-empty-dot", "identity-check-0-trials",
-        "gen-data-0-samples"])
+        "gen-data-0-samples", "gen-data-size-100000"])
 def test_empty_path_or_zero_count_exits_2_naming_the_flag(
         tmp_path, capsys, monkeypatch, argv, flag):
-    """An empty output path or a count below 1 is a usage error: exit 2
-    naming the flag, before any search, check or data."""
+    """An empty output path, a count below 1 or an image side that cannot
+    fit is a usage error: exit 2 naming the flag, before any search, check
+    or data."""
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before checking its flags")
 

@@ -16,7 +16,7 @@ from orbiconv.experiments import (
     compare_config,
     compare_kernels,
     load_config,
-    make_output_dir,
+    output_dir,
     parse_config,
     robustness_csv,
     robustness_eval,
@@ -244,7 +244,7 @@ def test_unknown_shape_and_config_key_rejected():
     cfg = Config({"compare.seed": "0", "out.dir": "."})
     compare_config(cfg)
     with pytest.raises(ConfigError, match="compare.seed$"):
-        make_output_dir(cfg)
+        output_dir(cfg)
 
 
 def test_parse_config():

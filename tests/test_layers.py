@@ -335,6 +335,83 @@ def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
         assert abs(lhs - rhs) <= 1e-12 * max(np.sum(np.abs(ref * g)), 1e-300)
 
 
+def _nan_as_one(a):
+    """`a` with every NaN the same +NaN."""
+    return np.where(np.isnan(a), np.array(np.nan, a.dtype), a)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("values", ["nan", "inf", "all"])
+@pytest.mark.parametrize("k, stride, dil, pad", [
+    (1, 1, 1, 0), (3, 1, 1, 0), (3, 1, 1, 1), (5, 1, 1, 2), (3, 2, 2, 3)])
+def test_patch_engine_keeps_special_value_bytes(k, stride, dil, pad, values,
+                                                dtype):
+    """NaN, +-inf and -0.0 in the input and in the patch gradients come
+    through im2col and col2im with the reference's bytes: the copies move
+    them as they are, and col2im adds each pixel's slots in the reference's
+    order from a zero start (inf + -inf gives the same NaN, -0.0 alone
+    becomes +0.0). Which NaN a sum of two NaNs of opposite sign returns is
+    not fixed (numpy's add loops differ; np.add.at and a strided add
+    disagree), so with both NaN and -inf among the gradients col2im is
+    held to the reference's bytes with every NaN read as one."""
+    rng = np.random.default_rng(k + 10 * stride + 100 * pad)
+    pool = {"nan": [np.nan, np.inf], "inf": [np.inf, -np.inf],
+            "all": [np.nan, np.inf, -np.inf]}[values]
+    pool = np.array(pool + [-0.0, 0.0, 1.5], dtype)
+    x = rng.choice(pool, (2, 3, 7, 6))
+    args = (k, stride, pad, dil)
+    ref = reference_extract_patches(x, *args)
+    assert extract_patches(x, *args).tobytes() == ref.tobytes()
+    g = rng.choice(pool, ref.shape)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        got = scatter_patches(g, x.shape, *args)
+        want = reference_scatter_patches(g, x.shape, *args)
+    if values == "all":
+        got, want = _nan_as_one(got), _nan_as_one(want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pointwise_patches_are_the_input():
+    """A 1x1, stride-1, unpadded patch matrix of a C-contiguous input is
+    the input itself, with no copy."""
+    x = np.random.default_rng(0).standard_normal((2, 3, 4, 5))
+    assert np.shares_memory(extract_patches(x, 1, 1, 0, 1), x)
+
+
+def test_pointwise_dense_conv_skips_col2im(monkeypatch):
+    """A 1x1, stride-1, unpadded dense conv hands its input gradient to
+    `accumulate` with no col2im, and x.grad keeps the bytes of the col2im
+    path, also when added onto a gradient x already holds. The output
+    gradient's -0.0 entries give -0.0 input gradients (the weights are
+    positive), which col2im's zero start turned into +0.0."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a 1x1 conv used col2im")
+
+    monkeypatch.setattr(layers, "scatter_patches", must_not_run)
+    rng = np.random.default_rng(1)
+    n, c, cout, h, w = 2, 4, 3, 5, 6
+    x_data = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    wt = Var(rng.uniform(0.5, 1.5, (cout, c, 1, 1)).astype(np.float32))
+    g = rng.standard_normal((n, cout, h, w)).astype(np.float32)
+    g[:, :, 0] = -0.0
+    g[0, 0, 1, :3] = [np.nan, np.inf, -np.inf]
+    prior = rng.choice(np.array([-0.0, 0.0, 2.0, np.inf], np.float32),
+                       x_data.shape)
+    col = reference_scatter_patches(wt.data.reshape(cout, c).T
+                                    @ g.reshape(n, cout, -1),
+                                    x_data.shape, 1, 1, 0, 1)
+    zero = np.float32(0)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for start, expected in ((None, zero + col),
+                                (prior, (zero + prior) + col)):
+            x = Var(x_data.copy())
+            if start is not None:
+                x.accumulate(start)
+            conv2d(x, wt, None).backward(g)
+            assert x.grad.tobytes() == expected.tobytes()
+    assert np.signbit(x.grad[:, :, 0]).sum() == 0
+
+
 def _reference_pool(kind, x, g, k, stride, pad):
     """(output, input gradient) of a max or avg pool over the fancy-index
     im2col and scatter-add col2im references, for the output gradient g."""
