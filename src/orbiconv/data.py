@@ -98,6 +98,20 @@ def check_image_size(size: int) -> None:
         raise ValueError(f"size must be at most {MAX_IMAGE_SIZE}, got {size}")
 
 
+# The most bytes of one split's float32 images: 1000 per class of side 256.
+MAX_SPLIT_BYTES = 2**29
+
+
+def check_split_size(n_per_class: int, size: int) -> None:
+    """Raise ValueError unless a split of 2 * n_per_class images of side
+    `size` holds at most MAX_SPLIT_BYTES."""
+    most = MAX_SPLIT_BYTES // (2 * size * size * 4)
+    if n_per_class > most:
+        raise ValueError(f"n_per_class must be at most {most} at size {size} "
+                         f"({MAX_SPLIT_BYTES >> 20} MB a split), got "
+                         f"{n_per_class}")
+
+
 def gen_synthetic(kind: SynthKind, n_per_class: int, size: int,
                   seed: int, split_tag: Split = Split.TRAIN) -> Dataset:
     """Deterministic synthetic two-class images.
@@ -112,6 +126,7 @@ def gen_synthetic(kind: SynthKind, n_per_class: int, size: int,
     that a circular kernel cannot resolve.
     """
     check_image_size(size)
+    check_split_size(n_per_class, size)
     rng = stream(seed, f"synth/{kind.value}")
     n = 2 * n_per_class
     images = np.zeros((n, 1, size, size), dtype=np.float32)

@@ -12,7 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset, SynthKind, check_image_size, gen_synthetic
+from .data import (Dataset, SynthKind, check_image_size, check_split_size,
+                   gen_synthetic)
 from .geometry import Mode, check_kernel_size
 from .integrated import EvalBranch, IntegratedConv
 from .autodiff import relu
@@ -363,6 +364,7 @@ class DataConfig:
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be at least 1")
         check_image_size(self.size)
+        check_split_size(self.n_per_class, self.size)
 
     def splits(self, seed: int) -> tuple[Dataset, Dataset]:
         """The train split of `seed` and the test split, seeded 10_000 higher."""

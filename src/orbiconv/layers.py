@@ -6,7 +6,11 @@ the geometry and transform modules. Dense convs run as BLAS matmuls on one
 C-order (N, C, K*K, OH*OW) patch matrix (`extract_patches`), built by two
 copies in long runs: K column-shifted copies (K, N, C, Hp, OW) of the
 padded input, then the patches from their rows, so at stride 1 each
-(n, c, slot) window is one contiguous run of OH*OW elements. col2im
+(n, c, slot) window is one contiguous run of OH*OW elements. The padded
+input is never built: the shifted copies start as zeros, and each kernel
+column copies onto them only the interior rows and the output columns
+that read pixels, straight from the input; a column that reads only
+padding copies nothing. col2im
 (`scatter_patches`) transposes the gemm's patch gradients slot-major once,
 (K*K, OH, OW, N, C), and adds each slot's gradients onto the window that
 slot read in a channels-last (Hp, Wp, N, C) buffer, slots in order from a
@@ -183,12 +187,23 @@ def extract_patches(x: np.ndarray, k: int, stride: int, pad: int,
     for a 1x1, stride-1, unpadded conv on a C-contiguous input."""
     n, c, h, w = x.shape
     oh, ow = _out_shape(h, w, k, stride, pad, dil)
-    xp = _pad(x, pad)
-    sn, sc, sh, sw = xp.strides
-    # cols[kc, n, c, r, j] = xp[n, c, r, d*kc + s*j]
-    cols = np.ascontiguousarray(as_strided(
-        xp, (k, n, c, xp.shape[2], ow), (dil * sw, sn, sc, sh, stride * sw),
-        writeable=False))
+    # cols[kc, n, c, r, j] = xp[n, c, r, d*kc + s*j] of the padded input xp
+    if pad == 0:
+        sn, sc, sh, sw = x.strides
+        cols = np.ascontiguousarray(as_strided(
+            x, (k, n, c, h, ow), (dil * sw, sn, sc, sh, stride * sw),
+            writeable=False))
+    else:
+        # zeros but for the interior rows of each slot's valid columns:
+        # output column j reads input column d*kc + s*j - pad
+        cols = np.zeros((k, n, c, h + 2 * pad, ow), x.dtype)
+        for kc in range(k):
+            shift = dil * kc - pad
+            j0 = max(0, -(shift // stride))
+            j1 = min(ow, (w - 1 - shift) // stride + 1)
+            if j0 < j1:
+                cols[kc, :, :, pad:pad + h, j0:j1] = x[
+                    ..., shift + stride * j0:shift + stride * (j1 - 1) + 1:stride]
     tk, tn, tc, th, tw = cols.strides
     return np.ascontiguousarray(as_strided(
         cols, (n, c, k, k, oh, ow), (tn, tc, dil * th, tk, stride * th, tw),

@@ -180,6 +180,10 @@ class SearchCell(Module):
         return self.combine_affine(self.combine(out))
 
 
+# The most bytes of a supernet's float32 weights.
+MAX_SUPERNET_BYTES = 2**29
+
+
 @dataclass
 class SearchConfig(TrainConfig):
     """The weight phase's TrainConfig plus the supernet and alpha settings."""
@@ -212,6 +216,19 @@ class SearchConfig(TrainConfig):
             raise ValueError(f"op_names repeats an op: {self.op_names}")
         if not set(self.op_names) - {"zero"}:
             raise ValueError("op_names needs an op other than zero")
+        # the C x C weights alone, each sep conv's pointwise conv on each of
+        # a cell's len(cell_edges) edges and its combine conv, are a lower
+        # bound of the supernet's weights
+        edges = self.num_nodes * (self.num_nodes - 1) // 2 - 1
+        squares = self.num_cells * (
+            edges * sum(name in SEP_CONVS for name in self.op_names)
+            + self.num_nodes - 2)
+        most = math.isqrt(MAX_SUPERNET_BYTES // (4 * squares))
+        if self.channels > most:
+            raise ValueError(
+                f"channels must be at most {most} with {self.num_cells} "
+                f"cells of {self.num_nodes} nodes ({MAX_SUPERNET_BYTES >> 20}"
+                f" MB of float32 weights), got {self.channels}")
 
 
 class SearchNetwork(Module):

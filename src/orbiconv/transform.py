@@ -13,15 +13,21 @@ the hat functions act on coordinates divided by d (interpolation between the
 d-spaced grid samples), which makes B independent of the dilation.
 
 Resampling a patch (B @ patch) and re-parameterizing weights (B^T @ w, the
-effective kernel of an equivalent standard convolution) are one product that
-adds B's nonzero terms onto zeros in B's row-major order, fixing each output
-slot's summation order.
+effective kernel of an equivalent standard convolution) are one product:
+each output slot (target) sums its terms from +0.0 in B's row-major nonzero
+order, which fixes its bytes. It runs rank-major (`TransformMatrix.plans`):
+with the targets sorted by term count, most first, the r-th terms of all
+targets that have one are one slice add onto the first targets, one
+contiguous run with the leading axes innermost. So each target still adds
+its own terms one by one in that order, and no padding term exists that
+could make a 0 * inf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +36,36 @@ from .geometry import Mode, SamplePoint, SamplePointSet, circular_points
 
 class TransformBuildError(ValueError):
     """Raised when a sample point's bilinear support escapes the K x K patch."""
+
+
+class ProductPlan(NamedTuple):
+    """B's terms for one direction of `_b_product`, rank-major: term t is
+    coeff[t] * x[source[t]]; for each rank's (offset, m) in `spans`, terms
+    offset..offset+m-1 add onto the first m sorted targets; target j is
+    sorted slot order[j]."""
+    source: np.ndarray
+    coeff: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+    order: np.ndarray
+
+
+def _rank_major(target: np.ndarray, source: np.ndarray, coeff: np.ndarray,
+                n: int) -> ProductPlan:
+    """The plan of the terms coeff[t] * x[source[t]] onto `target[t]`,
+    given in the order each target adds them."""
+    terms = [[] for _ in range(n)]
+    for t, j in enumerate(target):
+        terms[j].append(t)
+    by_count = sorted(range(n), key=lambda j: -len(terms[j]))  # stable
+    picks, spans = [], []
+    for r in range(len(terms[by_count[0]])):
+        rank = [terms[j][r] for j in by_count if len(terms[j]) > r]
+        spans.append((len(picks), len(rank)))
+        picks += rank
+    arrays = source[picks], coeff[picks], np.argsort(by_count)
+    for a in arrays:
+        a.flags.writeable = False
+    return ProductPlan(arrays[0], arrays[1], tuple(spans), arrays[2])
 
 
 @dataclass(frozen=True)
@@ -52,6 +88,14 @@ class TransformMatrix:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def plans(self) -> tuple[ProductPlan, ProductPlan]:
+        """The rank-major plans of B @ x and of B^T @ x, in that order, with
+        read-only arrays like `nonzeros`."""
+        row, col, coeff = self.nonzeros
+        return (_rank_major(row, col, coeff, self.n),
+                _rank_major(col, row, coeff, self.n))
 
     def dense(self, dtype=np.float64) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=dtype)
@@ -114,19 +158,23 @@ def circular_transform(k: int, d: int = 1) -> TransformMatrix:
 
 
 def _b_product(x: np.ndarray, b: TransformMatrix, adjoint: bool) -> np.ndarray:
-    """B @ x, or B^T @ x if `adjoint`, over the trailing axis of `x`. The
-    unbuffered `add.at` sums the terms of each target in index order."""
+    """B @ x, or B^T @ x if `adjoint`, over the trailing axis of `x`: the
+    terms in one gather and one product, each rank's terms in one slice add
+    onto a zero start, and one gather back to the natural target order,
+    on (term, lead) arrays, so each rank's add is one contiguous run."""
     a = np.asarray(x)
     if a.shape[-1] != b.n:
         raise ValueError(f"expected trailing dim {b.n}, got {a.shape}")
     if b.is_identity():
         return x
-    row, col, coeff = b.nonzeros
-    source, target = (row, col) if adjoint else (col, row)
-    out = np.zeros_like(a)
-    np.add.at(out, (..., target),
-              np.multiply(coeff, a[..., source], dtype=a.dtype))
-    return out
+    plan = b.plans[adjoint]
+    columns = a.reshape(-1, b.n).T
+    terms = np.multiply(plan.coeff[:, None],
+                        columns.take(plan.source, axis=0), dtype=a.dtype)
+    out = np.zeros(columns.shape, a.dtype)
+    for offset, m in plan.spans:
+        out[:m] += terms[offset:offset + m]
+    return out.T.take(plan.order, axis=-1).reshape(a.shape)
 
 
 def reparameterize(weights: np.ndarray, b: TransformMatrix) -> np.ndarray:

@@ -100,8 +100,13 @@ def direct_bilinear_at(patch: np.ndarray, x: float, y: float) -> float:
     return total
 
 
+def nan_as_one(a):
+    """`a` with every NaN the same +NaN."""
+    return np.where(np.isnan(a), np.array(np.nan, a.dtype), a)
+
+
 # The loops over B's nonzeros that `orbiconv.transform` ran before its one
-# `np.add.at` product, kept as the slow reference.
+# product over all of them, kept as the slow reference.
 
 
 def reference_reparameterize(weights: np.ndarray, b) -> np.ndarray:

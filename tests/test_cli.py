@@ -222,6 +222,12 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("train", "data.size = 4", "size must be at least 8"),
     ("robustness", "data.size = 4", "size must be at least 8"),
     ("train", "data.size = 100000", "data.size must be at most 256"),
+    ("train", "data.n_per_class = 100000000",
+     "data.n_per_class must be at most 262144 at size 16"),
+    ("compare", "compare.n_per_class = 100000000",
+     "compare.n_per_class must be at most 262144 at size 16"),
+    ("search", "search.channels = 100000",
+     "search.channels must be at most 767 with 4 cells of 5 nodes"),
     ("robustness", "robustness.angles = 95",
      "robustness.angles must be in (0, 90), got 95"),
     ("train", "train.lr_init = nan", "lr_init must be positive and finite"),
@@ -248,7 +254,9 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "search-cells-negative", "train-even-kernel",
         "robustness-unknown-shape", "robustness-trials-0",
         "train-n-per-class-0", "robustness-n-per-class-0", "train-size-4",
-        "robustness-size-4", "train-size-100000", "robustness-angle-95",
+        "robustness-size-4", "train-size-100000",
+        "train-n-per-class-100000000", "compare-n-per-class-100000000",
+        "search-channels-100000", "robustness-angle-95",
         "train-lr-nan", "search-lr-inf",
         "train-warmup-negative", "train-weight-decay-negative",
         "compare-weight-decay-nan", "search-weight-decay-negative",

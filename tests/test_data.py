@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from orbiconv.data import (
+    MAX_SPLIT_BYTES,
     Dataset,
     IdxFormatError,
     Split,
@@ -17,6 +18,7 @@ from orbiconv.data import (
     square_ring_template,
 )
 from orbiconv import transform
+from orbiconv.experiments import DataConfig
 from orbiconv.orbt import OrbtFormatError, load_tensor, save_tensor
 
 
@@ -25,6 +27,20 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 1, 4, 4), np.float32), np.zeros(3, np.int64))
     with pytest.raises(ValueError):
         Dataset(np.zeros((1, 1, 4, 4), np.float32), np.array([-1]))
+
+
+@pytest.mark.parametrize("size", [8, 16, 100, 256])
+def test_split_bytes_are_bounded(size):
+    """A split's float32 images hold at most MAX_SPLIT_BYTES: the largest
+    accepted n_per_class fits, one more is rejected naming it, and
+    gen_synthetic rejects it before it allocates."""
+    most = MAX_SPLIT_BYTES // (2 * size * size * 4)
+    assert DataConfig(n_per_class=most, size=size).n_per_class == most
+    for make in (lambda n: DataConfig(n_per_class=n, size=size),
+                 lambda n: gen_synthetic(SynthKind.RING_VS_CROSS, n, size, 0)):
+        with pytest.raises(ValueError,
+                           match=f"^n_per_class must be at most {most} "):
+            make(most + 1)
 
 
 def test_ring_template_properties():

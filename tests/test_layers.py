@@ -9,6 +9,7 @@ from conftest import (
     circular_kernel,
     direct_circular_conv,
     direct_square_conv,
+    nan_as_one,
     reference_conv2d,
     reference_dense_conv2d,
     reference_extract_patches,
@@ -183,8 +184,8 @@ def test_circular_kernel_keeps_no_graph_when_frozen():
 
 
 def test_circular_layers_share_one_transform_per_extent():
-    """Circular layers of one (K, dilation) share one read-only transform;
-    another dilation gets its own."""
+    """Circular layers of one (K, dilation) share one read-only transform,
+    its product plans included; another dilation gets its own."""
     a = Conv2d(2, 3, 5, mode=Mode.CIRCULAR)
     b = Conv2d(4, 4, 5, padding=2, mode=Mode.CIRCULAR, depthwise=True)
     d2 = Conv2d(2, 3, 5, dilation=2, mode=Mode.CIRCULAR)
@@ -192,9 +193,13 @@ def test_circular_layers_share_one_transform_per_extent():
     assert a.transform == build_transform(circular_points(5))
     assert d2.transform is not a.transform
     assert d2.transform == build_transform(circular_points(5, 2))
-    assert not any(arr.flags.writeable for arr in a.transform.nonzeros)
-    with pytest.raises(ValueError, match="read-only"):
-        a.transform.nonzeros[2][0] = 0.0
+    plans = [arr for plan in a.transform.plans
+             for arr in (plan.source, plan.coeff, plan.order)]
+    assert not any(arr.flags.writeable
+                   for arr in (*a.transform.nonzeros, *plans))
+    for arr in (a.transform.nonzeros[2], a.transform.plans[1].coeff):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 @pytest.mark.parametrize("name, d", [("circ_sep_conv_5x5", 1),
@@ -304,11 +309,18 @@ def _laid_out(x, layout):
          dtype=np.float64, layout="nchw", seed=2)  # zero output rows
 @example(n=3, c=2, h=6, w=6, k=1, stride=1, dil=1, pad=0,
          dtype=np.float64, layout="chwn", seed=3)  # batch innermost
+@example(n=2, c=2, h=9, w=10, k=3, stride=2, dil=2, pad=1,
+         dtype=np.float32, layout="hwnc", seed=4)  # padded, stride 2
+@example(n=1, c=3, h=11, w=8, k=5, stride=3, dil=2, pad=3,
+         dtype=np.float64, layout="nchw", seed=5)  # padded, stride 3
+@example(n=2, c=1, h=5, w=4, k=7, stride=1, dil=2, pad=6,
+         dtype=np.float32, layout="chwn", seed=6)  # slots of only padding
 def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
                                               dtype, layout, seed):
     """im2col and col2im give the reference's bytes, raise where it raises,
     and are adjoint: <extract(x), g> = <x, scatter(g)>. im2col returns C-order
-    patches, whatever the input's memory layout."""
+    patches, whatever the input's memory layout, also where a kernel column
+    reads only padding (K=7, dilation 2, pad 6 on W=4)."""
     rng = np.random.default_rng(seed)
     x = _laid_out(rng.standard_normal((n, c, h, w)).astype(dtype), layout)
     args = (k, stride, pad, dil)
@@ -335,15 +347,11 @@ def test_patch_engine_matches_reference_bytes(n, c, h, w, k, stride, dil, pad,
         assert abs(lhs - rhs) <= 1e-12 * max(np.sum(np.abs(ref * g)), 1e-300)
 
 
-def _nan_as_one(a):
-    """`a` with every NaN the same +NaN."""
-    return np.where(np.isnan(a), np.array(np.nan, a.dtype), a)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("values", ["nan", "inf", "all"])
 @pytest.mark.parametrize("k, stride, dil, pad", [
-    (1, 1, 1, 0), (3, 1, 1, 0), (3, 1, 1, 1), (5, 1, 1, 2), (3, 2, 2, 3)])
+    (1, 1, 1, 0), (3, 1, 1, 0), (3, 1, 1, 1), (5, 1, 1, 2), (3, 2, 2, 3),
+    (5, 3, 2, 2), (7, 1, 2, 6)])
 def test_patch_engine_keeps_special_value_bytes(k, stride, dil, pad, values,
                                                 dtype):
     """NaN, +-inf and -0.0 in the input and in the patch gradients come
@@ -367,7 +375,7 @@ def test_patch_engine_keeps_special_value_bytes(k, stride, dil, pad, values,
         got = scatter_patches(g, x.shape, *args)
         want = reference_scatter_patches(g, x.shape, *args)
     if values == "all":
-        got, want = _nan_as_one(got), _nan_as_one(want)
+        got, want = nan_as_one(got), nan_as_one(want)
     assert got.tobytes() == want.tobytes()
 
 

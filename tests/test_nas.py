@@ -12,6 +12,7 @@ from orbiconv.nas import (
     CellGenotype,
     Identity,
     PRIMITIVES,
+    MAX_SUPERNET_BYTES,
     SearchConfig,
     SearchNetwork,
     Zero,
@@ -360,6 +361,31 @@ def test_search_config_rejects_a_bad_op_list(op_names, message):
     search and then fail in numpy's argmax of an empty sequence."""
     with pytest.raises(ValueError, match=f"^{message}"):
         SearchConfig(op_names=op_names)
+
+
+@pytest.mark.parametrize("num_nodes, num_cells, op_names", [
+    (3, 1, ["sep_conv_5x5", "circ_sep_conv_5x5", "zero"]),
+    (5, 4, list(PRIMITIVES)), (4, 2, ["max_pool_3x3", "identity"])])
+def test_search_config_bounds_the_supernet_weights(num_nodes, num_cells,
+                                                   op_names):
+    """`channels` is bounded by the supernet's C x C weights, which a
+    built supernet holds: their float32 bytes at the largest accepted
+    `channels`, counted in a small build, stay within the bound, and one
+    channel more would pass it and is rejected, naming `channels`."""
+    opts = {"num_nodes": num_nodes, "num_cells": num_cells,
+            "op_names": op_names}
+    c = 4
+    net = SearchNetwork(SearchConfig(channels=c, **opts), 1, 2)
+    squares = sum(p.data.size for p in net.params()
+                  if p.data.ndim == 4 and p.data.shape[1] >= c) // c**2
+    with pytest.raises(ValueError, match="^channels must be at most") as e:
+        SearchConfig(channels=10**6, **opts)
+    most = int(str(e.value).split()[5])
+    assert SearchConfig(channels=most, **opts).channels == most
+    assert (4 * squares * most**2 <= MAX_SUPERNET_BYTES
+            < 4 * squares * (most + 1)**2)
+    with pytest.raises(ValueError, match=f"at most {most} "):
+        SearchConfig(channels=most + 1, **opts)
 
 
 def test_search_config_accepts_the_planted_and_full_op_lists():

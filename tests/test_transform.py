@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     circular_kernel,
     direct_bilinear_at,
+    nan_as_one,
     reference_reparameterize,
     reference_resample_patch,
 )
@@ -216,27 +217,42 @@ def test_equivalence_identity_conv(k):
         assert np.abs(out1 - out2).max() < 1e-12
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(k=st.sampled_from([1, 3, 5, 7, 9]), d=st.integers(1, 3),
        lead=st.sampled_from([(), (3, 1), (4, 2)]),
        dtype=st.sampled_from([np.float32, np.float64]),
+       values=st.sampled_from(["finite", "nan", "inf", "all"]),
        seed=st.integers(0, 2**32 - 1))
-def test_b_product_matches_reference_bytes(k, d, lead, dtype, seed):
+def test_b_product_matches_reference_bytes(k, d, lead, dtype, values, seed):
     """B^T w and B p give the per-nonzero loops' bytes, over shapes (),
-    (C, 1) and (Cout, Cin), with negative values and -0.0 in the input.
-    Identity transforms return the input itself, and integer input raises
-    a ufunc casting error as the loops do."""
+    (C, 1) and (Cout, Cin), with negative values and -0.0 in the input and,
+    by `values`, NaN and +inf or +inf and -inf among them: each target adds
+    its terms in the loops' order from a +0.0 start. Which NaN a sum of two
+    NaNs of opposite sign gives is not fixed (inf + -inf makes a negative
+    one; numpy's add loops differ), so with NaN, +inf and -inf all in the
+    input every NaN is read as one. Identity transforms return the input
+    itself, and integer input raises a ufunc casting error as the loops
+    do."""
     b = build_transform(circular_points(k, d))
     rng = np.random.default_rng(seed)
     x = (rng.standard_normal(lead + (k * k,))
          * 10.0 ** rng.integers(-3, 4)).astype(dtype)
     x[..., rng.integers(k * k)] = -0.0
+    pool = {"finite": [], "nan": [np.nan, np.inf], "inf": [np.inf, -np.inf],
+            "all": [np.nan, np.inf, -np.inf]}[values]
+    if pool:
+        hit = rng.random(x.shape) < 0.2
+        x[hit] = rng.choice(np.array(pool + [-0.0], dtype), hit.sum())
     pairs = ((reparameterize, reference_reparameterize),
              (resample_patch, reference_resample_patch))
     for product, reference in pairs:
-        got, ref = product(x, b), reference(x, b)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got, ref = product(x, b), reference(x, b)
         assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+        if values == "all":
+            assert nan_as_one(got).tobytes() == nan_as_one(ref).tobytes()
+        else:
+            assert got.tobytes() == ref.tobytes()
         assert (got is x) == (ref is x) == b.is_identity()
         ints = np.arange(k * k)
         if b.is_identity():
