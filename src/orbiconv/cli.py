@@ -13,14 +13,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import verify_delta_identity
-from .data import SynthKind, check_image_size, gen_synthetic
+from .data import SynthKind, check_image_size, check_split_size, gen_synthetic
 from .experiments import (
+    DATA_KEYS,
     SEARCH_DATA,
     ConfigError,
     RobustnessSweep,
     compare_config,
     compare_kernels,
-    data_config,
     from_config,
     load_config,
     output_dir,
@@ -29,7 +29,7 @@ from .experiments import (
     train_setup,
     write_manifest,
 )
-from .geometry import circular_points, square_points
+from .geometry import check_kernel_size, circular_points, square_points
 from .nas import SearchConfig, genotype_to_dot, search
 from .orbt import save_tensor
 from .train import NumericalError, train
@@ -37,10 +37,8 @@ from .transform import circular_transform
 
 
 def _cmd_geometry(args) -> int:
-    if args.mode == "circular":
-        pts = circular_points(args.size, args.dilation)
-    else:
-        pts = square_points(args.size, args.dilation)
+    points = circular_points if args.mode == "circular" else square_points
+    pts = points(args.size, args.dilation)
     lines = ["index,x,y,ring"]
     for i, (p, ring) in enumerate(zip(pts.points, pts.rings)):
         lines.append(f"{i},{p.x:.15g},{p.y:.15g},{ring}")
@@ -126,7 +124,7 @@ def _cmd_search(args) -> int:
     scfg = from_config(SearchConfig(), cfg, "search", (
         "num_nodes", "num_cells", "channels", "epochs", "batch_size",
         "lr_init", "weight_decay", "alpha_lr", "alpha_weight_decay", "seed"))
-    data = data_config(cfg, SEARCH_DATA)
+    data = from_config(SEARCH_DATA, cfg, "data", DATA_KEYS)
     cfg.reject_unread()
     for path in filter(None, (args.out, args.dot)):
         if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".",
@@ -179,11 +177,22 @@ def positive(text: str) -> int:
     return n
 
 
-def image_size(text: str) -> int:
+def _flag_rule(check, *values) -> None:
+    """Run the package rule `check` on flag values. Its ValueError, less
+    the field it starts with (argparse names the flag), is a usage error."""
     try:
-        check_image_size(int(text))
+        check(*values)
     except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+        raise argparse.ArgumentTypeError(str(e).partition(" ")[2]) from None
+
+
+def image_size(text: str) -> int:
+    _flag_rule(check_image_size, int(text))
+    return int(text)
+
+
+def kernel_size(text: str) -> int:
+    _flag_rule(check_kernel_size, int(text))
     return int(text)
 
 
@@ -198,15 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("geometry", help="emit kernel sample points as CSV")
-    g.add_argument("--size", type=int, required=True)
+    g.add_argument("--size", type=kernel_size, required=True)
     g.add_argument("--mode", choices=["square", "circular"], default="circular")
-    g.add_argument("--dilation", type=int, default=1)
+    g.add_argument("--dilation", type=positive, default=1)
     g.add_argument("--out", type=nonempty, required=True)
     g.set_defaults(func=_cmd_geometry)
 
     t = sub.add_parser("transform", help="emit the transformation matrix as CSV")
-    t.add_argument("--size", type=int, required=True)
-    t.add_argument("--dilation", type=int, default=1)
+    t.add_argument("--size", type=kernel_size, required=True)
+    t.add_argument("--dilation", type=positive, default=1)
     t.add_argument("--out", type=nonempty, required=True)
     t.set_defaults(func=_cmd_transform)
 
@@ -252,6 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "gen-data":  # --n's bound depends on --size
+        try:
+            _flag_rule(check_split_size, args.n, args.size)
+        except argparse.ArgumentTypeError as e:
+            parser.error(f"argument --n: {e}")
     try:
         return args.func(args)
     except (ConfigError, ValueError) as e:

@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import circular_points, square_points
+from .geometry import circular_points
 from .transform import circular_transform, reparameterize
 from .rng import stream
 
@@ -54,20 +54,6 @@ def _circular_footprint(kernel_size: int, outer_ring: bool) -> np.ndarray:
     w = np.array([1.0 if (r == m) == outer_ring else 0.0 for r in geo.rings])
     eff = reparameterize(w, circular_transform(kernel_size))
     return eff.reshape(kernel_size, -1) / np.abs(eff).sum()
-
-
-def ring_template(kernel_size: int = 5) -> np.ndarray:
-    """Footprint of a uniform outer-ring circular kernel."""
-    return _circular_footprint(kernel_size, outer_ring=True)
-
-
-def square_ring_template(kernel_size: int = 5) -> np.ndarray:
-    """Indicator of the outermost Chebyshev shell of the square grid."""
-    geo = square_points(kernel_size)
-    m = (kernel_size - 1) // 2
-    w = np.array([1.0 if r == m else 0.0 for r in geo.rings])
-    w = w.reshape(kernel_size, kernel_size)
-    return w / w.sum()
 
 
 def corner_template(kernel_size: int = 5) -> np.ndarray:

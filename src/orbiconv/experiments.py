@@ -373,14 +373,7 @@ class DataConfig:
 
 
 SEARCH_DATA = DataConfig(SynthKind.PLANTED_CIRCULAR)
-
-
-def data_config(cfg: Config, default: DataConfig = DataConfig(),
-                section: str = "data", kind_key: str = "kind") -> DataConfig:
-    """`default` with `section.<kind_key>`, `.n_per_class`, `.size` read."""
-    kind = cfg.value(f"{section}.{kind_key}", default.kind)
-    return from_config(replace(default, kind=kind), cfg, section,
-                       ("n_per_class", "size"))
+DATA_KEYS = ("kind", "n_per_class", "size")
 
 
 def integrated_options(cfg: Config) -> dict:
@@ -419,7 +412,8 @@ class CompareConfig:
 
 def compare_config(cfg: Config) -> CompareConfig:
     """`compare.*`, `train.*` but the seed, and `integrated.*`."""
-    ccfg = CompareConfig(data_config(cfg, DataConfig(), "compare", "dataset"),
+    ccfg = CompareConfig(from_config(DataConfig(), cfg, "compare", DATA_KEYS,
+                                     {"kind": "dataset"}),
                          from_config(TrainConfig(), cfg, "train",
                                      TRAIN_KEYS[:-1]),
                          integrated_options(cfg))
@@ -450,7 +444,7 @@ def train_setup(cfg: Config) -> TrainSetup:
     """`train.*`, `data.*`, `model.*` and `integrated.*` of a train config,
     read and checked without generating any data."""
     return TrainSetup(from_config(TrainConfig(), cfg, "train", TRAIN_KEYS),
-                      data_config(cfg),
+                      from_config(DataConfig(), cfg, "data", DATA_KEYS),
                       {**_read_section(cfg, "model", ("kernel_size", "shape"),
                                        SmallCNN.__init__.__kwdefaults__),
                        **integrated_options(cfg)})

@@ -10,13 +10,13 @@ padded input, then the patches from their rows, so at stride 1 each
 input is never built: the shifted copies start as zeros, and each kernel
 column copies onto them only the interior rows and the output columns
 that read pixels, straight from the input; a column that reads only
-padding copies nothing. col2im
-(`scatter_patches`) transposes the gemm's patch gradients slot-major once,
-(K*K, OH, OW, N, C), and adds each slot's gradients onto the window that
-slot read in a channels-last (Hp, Wp, N, C) buffer, slots in order from a
-zero start (`_window_adjoint`). A 1x1, stride-1, unpadded conv skips both:
-its patches are the (C-contiguous) input, and its input gradient goes to
-`accumulate`, whose first pass is col2im's +0.0 + g.
+padding copies nothing. col2im (`scatter_patches`) transposes the gemm's
+patch gradients slot-major once, (K*K, OH, OW, N, C), and adds each slot's
+gradients onto the window that slot read in a channels-last (Hp, Wp, N, C)
+buffer, slots in order from a zero start (`_window_adjoint`). One flag in
+`conv2d` makes a 1x1, stride-1, unpadded conv skip both: its patches are
+the input in C order, and its input gradient goes to `accumulate`, whose
+first pass is col2im's +0.0 + g.
 Pools copy no patches: they read the same channels-last windows
 (`_windows_last`) of a padded copy of the input, so each slot's pass runs
 over rows of N*C elements (OW*N*C at stride 1), not over one output row.
@@ -183,27 +183,20 @@ def extract_patches(x: np.ndarray, k: int, stride: int, pad: int,
                     dil: int) -> np.ndarray:
     """(N, C, H, W) -> C-order (N, C, K*K, OH*OW) patches of the padded
     input: [n, c, kr*K + kc, i*OW + j] is the pixel (d*kr + s*i,
-    d*kc + s*j). Both copies are no-ops, and the patches alias the input,
-    for a 1x1, stride-1, unpadded conv on a C-contiguous input."""
+    d*kc + s*j)."""
     n, c, h, w = x.shape
     oh, ow = _out_shape(h, w, k, stride, pad, dil)
-    # cols[kc, n, c, r, j] = xp[n, c, r, d*kc + s*j] of the padded input xp
-    if pad == 0:
-        sn, sc, sh, sw = x.strides
-        cols = np.ascontiguousarray(as_strided(
-            x, (k, n, c, h, ow), (dil * sw, sn, sc, sh, stride * sw),
-            writeable=False))
-    else:
-        # zeros but for the interior rows of each slot's valid columns:
-        # output column j reads input column d*kc + s*j - pad
-        cols = np.zeros((k, n, c, h + 2 * pad, ow), x.dtype)
-        for kc in range(k):
-            shift = dil * kc - pad
-            j0 = max(0, -(shift // stride))
-            j1 = min(ow, (w - 1 - shift) // stride + 1)
-            if j0 < j1:
-                cols[kc, :, :, pad:pad + h, j0:j1] = x[
-                    ..., shift + stride * j0:shift + stride * (j1 - 1) + 1:stride]
+    # cols[kc, n, c, r, j] = xp[n, c, r, d*kc + s*j] of the padded input xp:
+    # zeros but for the interior rows of each slot's valid columns, where
+    # output column j reads input column d*kc + s*j - pad
+    cols = np.zeros((k, n, c, h + 2 * pad, ow), x.dtype)
+    for kc in range(k):
+        shift = dil * kc - pad
+        j0 = max(0, -(shift // stride))
+        j1 = min(ow, (w - 1 - shift) // stride + 1)
+        if j0 < j1:
+            cols[kc, :, :, pad:pad + h, j0:j1] = x[
+                ..., shift + stride * j0:shift + stride * (j1 - 1) + 1:stride]
     tk, tn, tc, th, tw = cols.strides
     return np.ascontiguousarray(as_strided(
         cols, (n, c, k, k, oh, ow), (tn, tc, dil * th, tk, stride * th, tw),
@@ -242,6 +235,7 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
         raise ValueError(f"input has {c} channels but weights expect {cin}")
 
     oh, ow = _out_shape(h, w, k, stride, padding, dilation)
+    pointwise = not depthwise and k == 1 and stride == 1 and padding == 0
     if depthwise:
         # the K padded rows each output row reads, copied end to end, times
         # the channel's band: one BLAS product per sample and channel, so
@@ -255,10 +249,13 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
         out = rows.reshape(n, c, oh, k * wp) @ band
     else:
         # the C-order patch matrix reshapes to (N, C*K*K, OH*OW) as a view,
-        # so every gemm operand is C-contiguous; the backward reuses it
+        # so every gemm operand is C-contiguous; the backward reuses it. A
+        # pointwise conv's is its input in C order (a bare reshape may be a
+        # strided view, on which BLAS gives other bytes)
         w_mat = weights.data.reshape(cout, cin * k * k)
-        patches = extract_patches(x.data, k, stride, padding,
-                                  dilation).reshape(n, cin * k * k, -1)
+        patches = (np.ascontiguousarray(x.data) if pointwise
+                   else extract_patches(x.data, k, stride, padding, dilation)
+                   ).reshape(n, cin * k * k, -1)
         out = (w_mat @ patches).reshape(n, cout, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
@@ -302,10 +299,10 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
                                    g_rows.dtype) @ g_rows
                 x.accumulate(gxp[:, :, padding:padding + h,
                                  padding:padding + w])
-            elif k == 1 and stride == 1 and padding == 0:
-                # the patches are the input, and col2im would be +0.0 + g:
-                # accumulate's first pass does that, and a later += adds
-                # onto a gradient that is never -0.0, so no byte changes
+            elif pointwise:
+                # col2im would be +0.0 + g: accumulate's first pass does
+                # that, and a later += adds onto a gradient that is never
+                # -0.0, so no byte changes
                 x.accumulate((w_mat.T @ gl).reshape(x.data.shape))
             else:
                 x.accumulate(scatter_patches(w_mat.T @ gl, x.data.shape, k,
@@ -397,7 +394,7 @@ def global_avg_pool(x: Var) -> Var:
     def bw(g: np.ndarray) -> None:
         if x.requires_grad:
             x.accumulate(np.broadcast_to(g[:, :, None, None] / (h * w),
-                                         x.data.shape).copy())
+                                         x.data.shape))
 
     return Var(x.data.mean(axis=(2, 3)), (x,), bw)
 

@@ -182,6 +182,8 @@ class SearchCell(Module):
 
 # The most bytes of a supernet's float32 weights.
 MAX_SUPERNET_BYTES = 2**29
+# The most nodes of a cell (DARTS has 6); its edges grow as their square.
+MAX_NODES = 64
 
 
 @dataclass
@@ -202,6 +204,9 @@ class SearchConfig(TrainConfig):
                             ("channels", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        if self.num_nodes > MAX_NODES:
+            raise ValueError(f"num_nodes must be at most {MAX_NODES}, got "
+                             f"{self.num_nodes}")
         # written so that a NaN fails each comparison
         if not 0 < self.alpha_lr < math.inf:
             raise ValueError("alpha_lr must be positive and finite")
@@ -217,11 +222,11 @@ class SearchConfig(TrainConfig):
         if not set(self.op_names) - {"zero"}:
             raise ValueError("op_names needs an op other than zero")
         # the C x C weights alone, each sep conv's pointwise conv on each of
-        # a cell's len(cell_edges) edges and its combine conv, are a lower
-        # bound of the supernet's weights
-        edges = self.num_nodes * (self.num_nodes - 1) // 2 - 1
+        # a cell's edges and its combine conv, are a lower bound of the
+        # supernet's weights
         squares = self.num_cells * (
-            edges * sum(name in SEP_CONVS for name in self.op_names)
+            len(cell_edges(self.num_nodes))
+            * sum(name in SEP_CONVS for name in self.op_names)
             + self.num_nodes - 2)
         most = math.isqrt(MAX_SUPERNET_BYTES // (4 * squares))
         if self.channels > most:

@@ -15,12 +15,14 @@ d-spaced grid samples), which makes B independent of the dilation.
 Resampling a patch (B @ patch) and re-parameterizing weights (B^T @ w, the
 effective kernel of an equivalent standard convolution) are one product:
 each output slot (target) sums its terms from +0.0 in B's row-major nonzero
-order, which fixes its bytes. It runs rank-major (`TransformMatrix.plans`):
-with the targets sorted by term count, most first, the r-th terms of all
-targets that have one are one slice add onto the first targets, one
-contiguous run with the leading axes innermost. So each target still adds
-its own terms one by one in that order, and no padding term exists that
-could make a 0 * inf.
+order, which fixes its bytes but for one case: where NaNs of both signs
+meet in one target's sum (+NaN with inf - inf, say), which NaN comes out
+is not fixed, because numpy's add loops differ. The product runs rank-major
+(`TransformMatrix.plans`): with the targets sorted by term count, most
+first, the r-th terms of all targets that have one are one slice add onto
+the first targets, one contiguous run with the leading axes innermost. So
+each target still adds its own terms one by one in that order, and no
+padding term exists that could make a 0 * inf.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from orbiconv.autodiff import Var
-from orbiconv.data import Dataset
+from orbiconv.data import Dataset, _circular_footprint
 from orbiconv.experiments import WarpMode
-from orbiconv.geometry import circular_points
+from orbiconv.geometry import circular_points, square_points
 from orbiconv.layers import reparameterized
 from orbiconv.transform import reparameterize, transform_gradient_pushforward
 
@@ -325,3 +325,17 @@ def reference_warp_dataset(ds: Dataset, angle_range: float, mode: WarpMode,
         for c in range(ds.images.shape[1]):
             images[i, c] = reference_warp_image(ds.images[i, c], angle, mode)
     return Dataset(images, ds.labels.copy(), ds.split_tag)
+
+
+def ring_template(kernel_size: int = 5) -> np.ndarray:
+    """Footprint of a uniform outer-ring circular kernel."""
+    return _circular_footprint(kernel_size, outer_ring=True)
+
+
+def square_ring_template(kernel_size: int = 5) -> np.ndarray:
+    """Indicator of the outermost Chebyshev shell of the square grid."""
+    geo = square_points(kernel_size)
+    m = (kernel_size - 1) // 2
+    w = np.array([1.0 if r == m else 0.0 for r in geo.rings])
+    w = w.reshape(kernel_size, kernel_size)
+    return w / w.sum()

@@ -27,8 +27,9 @@ def test_geometry_csv(tmp_path):
 
 
 def test_geometry_bad_size(tmp_path):
-    rc = main(["geometry", "--size", "4", "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
+    with pytest.raises(SystemExit) as e:
+        main(["geometry", "--size", "4", "--out", str(tmp_path / "x.csv")])
+    assert e.value.code == 2
 
 
 def test_transform_csv_rows_sum_to_one(tmp_path):
@@ -212,6 +213,8 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("search", "search.batch_size = 0", "batch_size must be at least 1"),
     ("search", "search.channels = 0", "channels must be at least 1"),
     ("search", "search.num_nodes = 2", "num_nodes must be at least 3"),
+    ("search", "search.num_nodes = 100000",
+     "search.num_nodes must be at most 64, got 100000"),
     ("search", "search.num_cells = 0", "num_cells must be at least 1"),
     ("search", "search.num_cells = -2", "num_cells must be at least 1"),
     ("train", "model.kernel_size = 4", "kernel_size must be odd"),
@@ -249,8 +252,10 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("compare", "compare.kernel_sizes = 3,5,3",
      "kernel_sizes repeats an entry"),
     ("compare", "compare.seeds = 1,1", "seeds repeats an entry"),
+    ("compare", "compare.dataset = foo", "compare.dataset: "),
 ], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
-        "search-channels-0", "search-nodes-2", "search-cells-0",
+        "search-channels-0", "search-nodes-2", "search-nodes-100000",
+        "search-cells-0",
         "search-cells-negative", "train-even-kernel",
         "robustness-unknown-shape", "robustness-trials-0",
         "train-n-per-class-0", "robustness-n-per-class-0", "train-size-4",
@@ -265,7 +270,8 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "train-p-circular-2", "robustness-p-circular-negative",
         "compare-p-circular-nan", "compare-repeated-shape",
         "compare-aliased-shape",
-        "compare-repeated-kernel-size", "compare-repeated-seed"])
+        "compare-repeated-kernel-size", "compare-repeated-seed",
+        "compare-unknown-dataset"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):
     """A value out of its field's range exits 2 naming the field, before
@@ -505,13 +511,25 @@ def test_readme_key_table_is_what_each_command_checks(tmp_path, capsys,
     (["identity-check", "--trials", "0"], "--trials"),
     (["gen-data", "--n", "0", "--out", "TMP/ds"], "--n"),
     (["gen-data", "--size", "100000", "--out", "TMP/ds"], "--size"),
+    (["gen-data", "--n", "100000000", "--out", "TMP/ds"], "--n"),
+    (["gen-data", "--n", "1025", "--size", "256", "--out", "TMP/ds"], "--n"),
+    (["geometry", "--size", "4", "--out", "TMP/g.csv"], "--size"),
+    (["geometry", "--size", "3", "--dilation", "0", "--out", "TMP/g.csv"],
+     "--dilation"),
+    (["transform", "--size", "4", "--out", "TMP/b.csv"], "--size"),
+    (["transform", "--size", "3", "--dilation", "0", "--out", "TMP/b.csv"],
+     "--dilation"),
 ], ids=["search-empty-out", "search-empty-dot", "identity-check-0-trials",
-        "gen-data-0-samples", "gen-data-size-100000"])
+        "gen-data-0-samples", "gen-data-size-100000",
+        "gen-data-split-too-large", "gen-data-split-too-large-at-size-256",
+        "geometry-even-size", "geometry-0-dilation", "transform-even-size",
+        "transform-0-dilation"])
 def test_empty_path_or_zero_count_exits_2_naming_the_flag(
         tmp_path, capsys, monkeypatch, argv, flag):
-    """An empty output path, a count below 1 or an image side that cannot
-    fit is a usage error: exit 2 naming the flag, before any search, check
-    or data."""
+    """An empty output path, a count below 1, an image side that cannot
+    fit, a split over its byte bound at its `--size`, an even kernel size
+    or a dilation below 1 is a usage error: exit 2 naming the flag, not a
+    config field, before any search, check, data or output."""
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before checking its flags")
 
@@ -525,4 +543,6 @@ def test_empty_path_or_zero_count_exits_2_naming_the_flag(
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: " in err and "Traceback" not in err
+    assert "config error" not in err and "n_per_class" not in err
+    assert "kernel_size" not in err
     assert list(tmp_path.iterdir()) == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ring_template, square_ring_template
 from orbiconv.data import (
     MAX_SPLIT_BYTES,
     Dataset,
@@ -14,8 +15,6 @@ from orbiconv.data import (
     SynthKind,
     gen_synthetic,
     load_idx,
-    ring_template,
-    square_ring_template,
 )
 from orbiconv import transform
 from orbiconv.experiments import DataConfig

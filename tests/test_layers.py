@@ -379,23 +379,18 @@ def test_patch_engine_keeps_special_value_bytes(k, stride, dil, pad, values,
     assert got.tobytes() == want.tobytes()
 
 
-def test_pointwise_patches_are_the_input():
-    """A 1x1, stride-1, unpadded patch matrix of a C-contiguous input is
-    the input itself, with no copy."""
-    x = np.random.default_rng(0).standard_normal((2, 3, 4, 5))
-    assert np.shares_memory(extract_patches(x, 1, 1, 0, 1), x)
-
-
 def test_pointwise_dense_conv_skips_col2im(monkeypatch):
-    """A 1x1, stride-1, unpadded dense conv hands its input gradient to
-    `accumulate` with no col2im, and x.grad keeps the bytes of the col2im
-    path, also when added onto a gradient x already holds. The output
-    gradient's -0.0 entries give -0.0 input gradients (the weights are
-    positive), which col2im's zero start turned into +0.0."""
+    """A 1x1, stride-1, unpadded dense conv runs neither im2col nor col2im
+    in either pass: it hands its input gradient to `accumulate`, and x.grad
+    keeps the bytes of the col2im path, also when added onto a gradient x
+    already holds. The output gradient's -0.0 entries give -0.0 input
+    gradients (the weights are positive), which col2im's zero start turned
+    into +0.0."""
     def must_not_run(*args, **kwargs):
-        raise AssertionError("a 1x1 conv used col2im")
+        raise AssertionError("a 1x1 conv used the patch engine")
 
-    monkeypatch.setattr(layers, "scatter_patches", must_not_run)
+    for name in ("extract_patches", "scatter_patches"):
+        monkeypatch.setattr(layers, name, must_not_run)
     rng = np.random.default_rng(1)
     n, c, cout, h, w = 2, 4, 3, 5, 6
     x_data = rng.standard_normal((n, c, h, w)).astype(np.float32)
