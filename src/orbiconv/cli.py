@@ -1,6 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Any other error is an internal fault, not a config error: it raises with
+its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -8,8 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .analysis import verify_delta_identity
@@ -32,6 +32,7 @@ from .experiments import (
 from .geometry import check_kernel_size, circular_points, square_points
 from .nas import SearchConfig, genotype_to_dot, search
 from .orbt import save_tensor
+from .rng import stream
 from .train import NumericalError, train
 from .transform import circular_transform
 
@@ -143,7 +144,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_identity_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = stream(args.seed, "identity-check")
     worst = 0.0
     for k in (1, 3, 5, 7):
         for d in (1, 2):
@@ -268,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"argument --n: {e}")
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

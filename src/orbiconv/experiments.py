@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -186,29 +186,45 @@ def kernel_shape(shape: str, name: str = "shape") -> Mode | None:
     return modes[shape]
 
 
+@dataclass
+class ModelConfig:
+    """SmallCNN's kernel options, the keys `model.*` and `integrated.*`."""
+    kernel_size: int = 3
+    shape: str = "square"
+    p_circular: float = 0.5
+    eval_branch: EvalBranch = EvalBranch.CIRCULAR
+
+    def __post_init__(self) -> None:
+        kernel_shape(self.shape)
+        check_kernel_size(self.kernel_size)
+        if not 0 <= self.p_circular <= 1:
+            raise ValueError("p_circular must be in [0, 1]")
+
+
 class SmallCNN(Module):
-    """Three conv blocks (conv -> affine -> relu -> avg pool) + linear head."""
+    """Three conv blocks (conv -> affine -> relu -> avg pool) + linear head,
+    with the kernels of `ModelConfig(**model)`."""
 
     def __init__(self, *, in_channels: int = 1, num_classes: int = 2,
-                 kernel_size: int = 3, shape: str = "square",
                  channels: tuple[int, ...] = (8, 16, 16), seed: int = 0,
-                 p_circular: float = 0.5,
-                 eval_branch: EvalBranch = EvalBranch.CIRCULAR):
+                 **model):
         self.blocks: list[Module] = []
         self.affines: list[Module] = []
-        mode = kernel_shape(shape)
+        model = ModelConfig(**model)
+        mode = kernel_shape(model.shape)
         cin = in_channels
-        pad = (kernel_size - 1) // 2
+        pad = (model.kernel_size - 1) // 2
         for idx, cout in enumerate(channels):
             rng = stream(seed, f"w/block{idx}")
             if mode is None:
                 conv: Module = IntegratedConv(
-                    cin, cout, kernel_size, padding=pad, p_circular=p_circular,
-                    seed=seed, stream_id=f"layer{idx}", eval_branch=eval_branch,
+                    cin, cout, model.kernel_size, padding=pad,
+                    p_circular=model.p_circular, seed=seed,
+                    stream_id=f"layer{idx}", eval_branch=model.eval_branch,
                     rng=rng)
             else:
-                conv = Conv2d(cin, cout, kernel_size, padding=pad, mode=mode,
-                              rng=rng)
+                conv = Conv2d(cin, cout, model.kernel_size, padding=pad,
+                              mode=mode, rng=rng)
             self.blocks.append(conv)
             self.affines.append(ChannelAffine(cout))
             cin = cout
@@ -231,10 +247,10 @@ def compare_kernels(ccfg: CompareConfig) -> tuple[str, str]:
     for k in ccfg.kernel_sizes:
         for shape in ccfg.shapes:
             errs = results[(shape, k)] = []
+            model = replace(ccfg.model, kernel_size=k, shape=shape)
             for seed in ccfg.seeds:
                 setup = TrainSetup(replace(ccfg.train, seed=seed), ccfg.data,
-                                   {"kernel_size": k, "shape": shape,
-                                    **ccfg.integrated})
+                                   model)
                 err = train(*setup.build(), setup.train).test_err[-1]
                 errs.append(err)
                 rows.append(f"{shape},{k},{seed},{err!r}")
@@ -325,13 +341,6 @@ class Config(dict):
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
-def _read_section(cfg: Config, section: str, names: tuple[str, ...],
-                  defaults: dict) -> dict:
-    """`{name: value}` read from the keys `section.<name>`; `defaults[name]`
-    gives the type and the value of an absent key."""
-    return {n: cfg.value(f"{section}.{n}", defaults[n]) for n in names}
-
-
 def from_config(default, cfg: Config, section: str, names: tuple[str, ...],
                 keys: dict[str, str] | None = None):
     """The dataclass instance `default` with the fields `names` read from
@@ -374,25 +383,16 @@ class DataConfig:
 
 SEARCH_DATA = DataConfig(SynthKind.PLANTED_CIRCULAR)
 DATA_KEYS = ("kind", "n_per_class", "size")
-
-
-def integrated_options(cfg: Config) -> dict:
-    """SmallCNN's `p_circular` and `eval_branch` from `integrated.*`;
-    `p_circular` must be in [0, 1]."""
-    opts = _read_section(cfg, "integrated", ("p_circular", "eval_branch"),
-                         SmallCNN.__init__.__kwdefaults__)
-    if not 0 <= opts["p_circular"] <= 1:
-        raise ConfigError("integrated.p_circular must be in [0, 1]")
-    return opts
+INTEGRATED_KEYS = ("p_circular", "eval_branch")  # ModelConfig's `integrated.*`
 
 
 @dataclass
 class CompareConfig:
-    """What `compare_kernels` runs: each (shape, K, seed) trains `train`,
-    with the run's seed, on `data`'s splits of that seed."""
+    """What `compare_kernels` runs: each (shape, K, seed) trains `model` of
+    that shape and K by `train` with that seed, on `data`'s splits of it."""
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    integrated: dict = field(default_factory=dict)  # SmallCNN options
+    model: ModelConfig = field(default_factory=ModelConfig)
     shapes: list[str] = field(default_factory=lambda: ["square", "circle"])
     kernel_sizes: list[int] = field(default_factory=lambda: [3, 5])
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
@@ -416,7 +416,8 @@ def compare_config(cfg: Config) -> CompareConfig:
                                      {"kind": "dataset"}),
                          from_config(TrainConfig(), cfg, "train",
                                      TRAIN_KEYS[:-1]),
-                         integrated_options(cfg))
+                         from_config(ModelConfig(), cfg, "integrated",
+                                     INTEGRATED_KEYS))
     return from_config(ccfg, cfg, "compare", ("shapes", "kernel_sizes", "seeds"))
 
 
@@ -426,17 +427,13 @@ class TrainSetup:
     the model."""
     train: TrainConfig
     data: DataConfig
-    model: dict  # SmallCNN options but `seed` and `num_classes`
-
-    def __post_init__(self) -> None:
-        kernel_shape(self.model["shape"], "model.shape")
-        check_kernel_size(self.model["kernel_size"], "model.kernel_size")
+    model: ModelConfig
 
     def build(self) -> tuple[SmallCNN, Dataset, Dataset]:
         """SmallCNN and the train/test splits of the train seed."""
         train_ds, test_ds = self.data.splits(self.train.seed)
         model = SmallCNN(seed=self.train.seed,
-                         num_classes=train_ds.num_classes, **self.model)
+                         num_classes=train_ds.num_classes, **asdict(self.model))
         return model, train_ds, test_ds
 
 
@@ -445,9 +442,9 @@ def train_setup(cfg: Config) -> TrainSetup:
     read and checked without generating any data."""
     return TrainSetup(from_config(TrainConfig(), cfg, "train", TRAIN_KEYS),
                       from_config(DataConfig(), cfg, "data", DATA_KEYS),
-                      {**_read_section(cfg, "model", ("kernel_size", "shape"),
-                                       SmallCNN.__init__.__kwdefaults__),
-                       **integrated_options(cfg)})
+                      from_config(from_config(ModelConfig(), cfg, "model",
+                                              ("kernel_size", "shape")),
+                                  cfg, "integrated", INTEGRATED_KEYS))
 
 
 def output_dir(cfg: Config) -> str:

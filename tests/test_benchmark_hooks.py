@@ -57,6 +57,16 @@ def test_benchmark_hooks_install_and_uninstall(monkeypatch):
     assert {m: dict(vars(mod)) for m, mod in pkg.items()} == before
 
 
+def test_every_workload_sets_up(monkeypatch):
+    """Each workload's set-up builds its data, config and model through
+    package keywords (SmallCNN, TrainConfig, SearchConfig), so a keyword
+    change that breaks perfbench/workloads.py fails here."""
+    workloads = _load("workloads", monkeypatch)
+    pkg = {m: importlib.import_module(f"orbiconv.{m}") for m in MODULES}
+    for workload in workloads.WORKLOADS.values():
+        assert workload.images(workload.setup(pkg, 0)) > 0
+
+
 def test_tracer_sees_every_search_op(monkeypatch):
     """One forward and backward of a supernet over every primitive records
     a span for each kind of op it runs: the hooks reach the ops through the

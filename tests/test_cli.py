@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbiconv import cli, experiments
+from orbiconv import cli, experiments, layers
 from orbiconv.cli import main
 from orbiconv.orbt import load_tensor
 
@@ -177,6 +177,12 @@ def test_identity_check(capsys):
     assert "relative difference" in capsys.readouterr().out
 
 
+def test_identity_check_takes_any_seed():
+    """`--seed` seeds a named stream as every other command's seed does,
+    so a negative seed runs."""
+    assert main(["identity-check", "--seed", "-1", "--trials", "1"]) == 0
+
+
 @pytest.mark.parametrize("line, named", [
     ("train.epoch = 3", "train.epoch"),
     ("model.shape = cirlce", "cirlce"),
@@ -218,6 +224,10 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
     ("search", "search.num_cells = 0", "num_cells must be at least 1"),
     ("search", "search.num_cells = -2", "num_cells must be at least 1"),
     ("train", "model.kernel_size = 4", "kernel_size must be odd"),
+    ("robustness", "model.kernel_size = 33",
+     "model.kernel_size must be at most 31, got 33"),
+    ("compare", "compare.kernel_sizes = 3,33",
+     "compare.kernel_sizes must be at most 31, got 33"),
     ("robustness", "model.shape = hexagon", "unknown kernel shape"),
     ("robustness", "robustness.trials = 0", "trials must be at least 1"),
     ("train", "data.n_per_class = 0", "n_per_class must be at least 1"),
@@ -257,6 +267,7 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "search-channels-0", "search-nodes-2", "search-nodes-100000",
         "search-cells-0",
         "search-cells-negative", "train-even-kernel",
+        "robustness-kernel-33", "compare-kernel-33",
         "robustness-unknown-shape", "robustness-trials-0",
         "train-n-per-class-0", "robustness-n-per-class-0", "train-size-4",
         "robustness-size-4", "train-size-100000",
@@ -328,8 +339,7 @@ def test_out_dir_is_checked_before_any_data(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["train", "robustness"])
-def test_out_dir_is_made_after_the_data(tmp_path, capsys, monkeypatch,
-                                        command):
+def test_out_dir_is_made_after_the_data(tmp_path, monkeypatch, command):
     """A data generation that fails leaves no `out.dir` behind: the
     directory is made once the data exist."""
     def fail(*args, **kwargs):
@@ -339,9 +349,24 @@ def test_out_dir_is_made_after_the_data(tmp_path, capsys, monkeypatch,
     out = tmp_path / "out" / "nested"
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"out.dir = {out}\n")
-    assert main([command, "--config", str(cfg)]) == 2
-    assert "no data" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="no data"):
+        main([command, "--config", str(cfg)])
     assert not (tmp_path / "out").exists()
+
+
+def test_internal_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    """A ValueError raised inside training is an internal fault: it
+    propagates and is not reported as a config error."""
+    def fail(*args, **kwargs):
+        raise ValueError("shape mismatch")
+
+    monkeypatch.setattr(layers, "conv2d", fail)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("data.n_per_class = 2\ndata.size = 8\ntrain.epochs = 1\n"
+                   f"out.dir = {tmp_path / 'out'}\n")
+    with pytest.raises(ValueError, match="shape mismatch"):
+        main(["train", "--config", str(cfg)])
+    assert "config error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, path", [
@@ -519,11 +544,13 @@ def test_readme_key_table_is_what_each_command_checks(tmp_path, capsys,
     (["transform", "--size", "4", "--out", "TMP/b.csv"], "--size"),
     (["transform", "--size", "3", "--dilation", "0", "--out", "TMP/b.csv"],
      "--dilation"),
+    (["geometry", "--size", "20001", "--out", "TMP/g.csv"], "--size"),
+    (["transform", "--size", "33", "--out", "TMP/b.csv"], "--size"),
 ], ids=["search-empty-out", "search-empty-dot", "identity-check-0-trials",
         "gen-data-0-samples", "gen-data-size-100000",
         "gen-data-split-too-large", "gen-data-split-too-large-at-size-256",
         "geometry-even-size", "geometry-0-dilation", "transform-even-size",
-        "transform-0-dilation"])
+        "transform-0-dilation", "geometry-size-20001", "transform-size-33"])
 def test_empty_path_or_zero_count_exits_2_naming_the_flag(
         tmp_path, capsys, monkeypatch, argv, flag):
     """An empty output path, a count below 1, an image side that cannot

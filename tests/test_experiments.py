@@ -239,6 +239,8 @@ def test_compare_kernels_csv_and_svg():
 def test_unknown_shape_and_config_key_rejected():
     with pytest.raises(ValueError, match="cirlce"):
         SmallCNN(shape="cirlce")
+    with pytest.raises(ValueError, match=r"p_circular must be in \[0, 1\]"):
+        SmallCNN(shape="square", p_circular=1.5)
     with pytest.raises(ValueError, match="cirlce"):
         compare_config(Config({"compare.shapes": "square,cirlce"}))
     cfg = Config({"compare.seed": "0", "out.dir": "."})

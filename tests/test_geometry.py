@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbiconv.geometry import (
+    MAX_KERNEL_SIZE,
     Mode,
     SamplePoint,
+    check_kernel_size,
     circular_points,
     offsets,
     square_points,
@@ -62,6 +64,15 @@ def test_invalid_kernel_size_rejected(bad):
         square_points(bad)
     with pytest.raises(ValueError):
         circular_points(bad)
+
+
+def test_kernel_size_bound_is_inclusive():
+    check_kernel_size(MAX_KERNEL_SIZE)
+    assert len(circular_points(MAX_KERNEL_SIZE).points) == MAX_KERNEL_SIZE**2
+    with pytest.raises(ValueError, match=f"kernel_size must be at most "
+                                         f"{MAX_KERNEL_SIZE}, got "
+                                         f"{MAX_KERNEL_SIZE + 2}"):
+        check_kernel_size(MAX_KERNEL_SIZE + 2)
 
 
 def test_invalid_dilation_rejected():

@@ -85,6 +85,20 @@ def test_row_stochastic_invariants(k, d):
     assert max(len(r) for r in b.rows) <= 4
 
 
+@pytest.mark.parametrize("k", [3, 5, 7, 9])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dilation_moves_b_by_rounding_only(k, d):
+    """B at dilation d has the nonzeros of B at dilation 1, with the same
+    bytes at d = 2 for K <= 5 and within 1e-15 otherwise: a point is
+    computed at scale d before the division by d."""
+    one, dilated = (build_transform(circular_points(k, e)).dense()
+                    for e in (1, d))
+    assert np.array_equal(one != 0, dilated != 0)
+    assert np.max(np.abs(one - dilated)) <= 1e-15
+    if d == 2 and k <= 5:
+        assert one.tobytes() == dilated.tobytes()
+
+
 def test_k3_exactly_five_basis_rows():
     b = build_transform(circular_points(3))
     basis = sum(1 for r in b.rows if len(r) == 1 and r[0][1] == 1.0)
