@@ -6,6 +6,13 @@ the output gradient onto the parents' gradient buffers. Calling
 sorted ancestor list) in reverse. Gradients accumulate in ``Var.grad`` with
 the same shape and dtype as the value.
 
+``backward()`` releases each interior node (one with parents) once its
+closure has run: its gradient, its parents and its closure go, so every
+saved array is freed once the last node that reads it has run. Only the
+leaves keep their gradients. A second ``backward()`` through a released
+node raises RuntimeError, including one from another root that shares a
+subgraph with the first.
+
 A leaf requires a gradient unless built with ``requires_grad=False`` or
 frozen; a computed `Var` requires one exactly when a parent does, so the
 tape and every backward closure skip what no stepped leaf depends on. A
@@ -65,12 +72,23 @@ class Var:
                 raise ValueError("backward() without a seed needs a scalar root")
             seed = np.ones_like(self.data)
         self.accumulate(seed)
-        for node in reversed(order):
+        while order:
+            # popped, so that once its children have run a node is held by
+            # nothing here and is freed as soon as it has run
+            node = order.pop()
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
+            if node.parents:
+                node.grad = None
+                node.parents = ()
+                node.backward_fn = _released
 
     def __repr__(self) -> str:
         return f"Var(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _released(g: np.ndarray) -> None:
+    raise RuntimeError("backward() already ran through this node")
 
 
 @contextmanager

@@ -26,7 +26,7 @@ from .layers import (
     global_avg_pool,
 )
 from .rng import stream
-from .train import TrainConfig, evaluate, train
+from .train import EVAL_BATCH, TrainConfig, evaluate, train
 
 
 class WarpMode(Enum):
@@ -201,12 +201,15 @@ class ModelConfig:
             raise ValueError("p_circular must be in [0, 1]")
 
 
+SMALLCNN_CHANNELS = (8, 16, 16)
+
+
 class SmallCNN(Module):
     """Three conv blocks (conv -> affine -> relu -> avg pool) + linear head,
     with the kernels of `ModelConfig(**model)`."""
 
     def __init__(self, *, in_channels: int = 1, num_classes: int = 2,
-                 channels: tuple[int, ...] = (8, 16, 16), seed: int = 0,
+                 channels: tuple[int, ...] = SMALLCNN_CHANNELS, seed: int = 0,
                  **model):
         self.blocks: list[Module] = []
         self.affines: list[Module] = []
@@ -410,6 +413,36 @@ class CompareConfig:
             check_kernel_size(k, "kernel_sizes")
 
 
+# The most bytes of one im2col patch matrix of a SmallCNN run, the bound of
+# a split's images and of the supernet's weights.
+MAX_PATCH_BYTES = 2**29
+
+
+def patch_bytes(kernel_size: int, data: DataConfig, batch_size: int) -> int:
+    """Bytes of the largest im2col patch matrix a SmallCNN run on `data`
+    builds: B x cin x K^2 x H^2 float32 values over the three blocks, where
+    H halves, rounding up, per avg pool, and B, a train batch or one of
+    `evaluate`'s, is at most a split."""
+    b = min(max(batch_size, EVAL_BATCH), 2 * data.n_per_class)
+    most, cin, h = 0, 1, data.size
+    for cout in SMALLCNN_CHANNELS:
+        most = max(most, b * cin * kernel_size**2 * h * h * 4)
+        cin, h = cout, (h + 1) // 2
+    return most
+
+
+def check_patch_bytes(kernel_size: int, data: DataConfig, batch_size: int,
+                      key: str) -> None:
+    """Raise ConfigError naming `key` if `patch_bytes` passes
+    MAX_PATCH_BYTES."""
+    need = patch_bytes(kernel_size, data, batch_size)
+    if need > MAX_PATCH_BYTES:
+        raise ConfigError(
+            f"{key}: kernel size {kernel_size} at image size {data.size} "
+            f"needs a {need >> 20} MB im2col patch matrix (at most "
+            f"{MAX_PATCH_BYTES >> 20} MB)")
+
+
 def compare_config(cfg: Config) -> CompareConfig:
     """`compare.*`, `train.*` but the seed, and `integrated.*`."""
     ccfg = CompareConfig(from_config(DataConfig(), cfg, "compare", DATA_KEYS,
@@ -418,7 +451,11 @@ def compare_config(cfg: Config) -> CompareConfig:
                                      TRAIN_KEYS[:-1]),
                          from_config(ModelConfig(), cfg, "integrated",
                                      INTEGRATED_KEYS))
-    return from_config(ccfg, cfg, "compare", ("shapes", "kernel_sizes", "seeds"))
+    ccfg = from_config(ccfg, cfg, "compare", ("shapes", "kernel_sizes", "seeds"))
+    for k in ccfg.kernel_sizes:
+        check_patch_bytes(k, ccfg.data, ccfg.train.batch_size,
+                          "compare.kernel_sizes")
+    return ccfg
 
 
 @dataclass
@@ -440,11 +477,14 @@ class TrainSetup:
 def train_setup(cfg: Config) -> TrainSetup:
     """`train.*`, `data.*`, `model.*` and `integrated.*` of a train config,
     read and checked without generating any data."""
-    return TrainSetup(from_config(TrainConfig(), cfg, "train", TRAIN_KEYS),
-                      from_config(DataConfig(), cfg, "data", DATA_KEYS),
-                      from_config(from_config(ModelConfig(), cfg, "model",
-                                              ("kernel_size", "shape")),
-                                  cfg, "integrated", INTEGRATED_KEYS))
+    setup = TrainSetup(from_config(TrainConfig(), cfg, "train", TRAIN_KEYS),
+                       from_config(DataConfig(), cfg, "data", DATA_KEYS),
+                       from_config(from_config(ModelConfig(), cfg, "model",
+                                               ("kernel_size", "shape")),
+                                   cfg, "integrated", INTEGRATED_KEYS))
+    check_patch_bytes(setup.model.kernel_size, setup.data,
+                      setup.train.batch_size, "model.kernel_size")
+    return setup
 
 
 def output_dir(cfg: Config) -> str:

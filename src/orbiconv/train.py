@@ -13,7 +13,7 @@ from .data import Dataset
 from .layers import Module, softmax_cross_entropy, walk
 from .rng import stream
 
-_EVAL_BATCH = 64  # samples per forward in `evaluate`
+EVAL_BATCH = 64  # samples per forward in `evaluate`
 
 
 class NumericalError(RuntimeError):
@@ -99,10 +99,10 @@ def evaluate(model: Module, ds: Dataset) -> float:
             item.enter_eval()
     wrong = 0
     with frozen([v for v in items if isinstance(v, Var)]):
-        for start in range(0, len(ds), _EVAL_BATCH):
-            x = Var(ds.images[start:start + _EVAL_BATCH], requires_grad=False)
+        for start in range(0, len(ds), EVAL_BATCH):
+            x = Var(ds.images[start:start + EVAL_BATCH], requires_grad=False)
             pred = model(x).data.argmax(axis=1)
-            wrong += int((pred != ds.labels[start:start + _EVAL_BATCH]).sum())
+            wrong += int((pred != ds.labels[start:start + EVAL_BATCH]).sum())
     return wrong / max(1, len(ds))
 
 

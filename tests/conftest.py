@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from orbiconv.autodiff import Var
+from orbiconv.autodiff import Var, tape
 from orbiconv.data import Dataset, _circular_footprint
 from orbiconv.experiments import WarpMode
 from orbiconv.geometry import circular_points, square_points
@@ -98,6 +98,17 @@ def direct_bilinear_at(patch: np.ndarray, x: float, y: float) -> float:
             if wr and wc and 0 <= rr < k and 0 <= cc < k:
                 total += wr * wc * patch[rr, cc]
     return total
+
+
+def reference_backward(root: Var) -> None:
+    """`Var.backward` of a scalar root as it ran before it released each
+    node: the same closures in the same order, with every node keeping its
+    gradient, parents and closure."""
+    order = tape(root)
+    root.accumulate(np.ones_like(root.data))
+    for node in reversed(order):
+        if node.backward_fn is not None and node.grad is not None:
+            node.backward_fn(node.grad)
 
 
 def nan_as_one(a):

@@ -263,6 +263,10 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
      "kernel_sizes repeats an entry"),
     ("compare", "compare.seeds = 1,1", "seeds repeats an entry"),
     ("compare", "compare.dataset = foo", "compare.dataset: "),
+    ("train", "model.kernel_size = 31\ndata.size = 256\ndata.n_per_class = 8\n"
+     "train.epochs = 1", "model.kernel_size: kernel size 31"),
+    ("compare", "compare.kernel_sizes = 3,31\ncompare.size = 256\n"
+     "compare.n_per_class = 8", "compare.kernel_sizes: kernel size 31"),
 ], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
         "search-channels-0", "search-nodes-2", "search-nodes-100000",
         "search-cells-0",
@@ -282,7 +286,8 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "compare-p-circular-nan", "compare-repeated-shape",
         "compare-aliased-shape",
         "compare-repeated-kernel-size", "compare-repeated-seed",
-        "compare-unknown-dataset"])
+        "compare-unknown-dataset", "train-patches-8-gb",
+        "compare-patches-8-gb"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):
     """A value out of its field's range exits 2 naming the field, before

@@ -6,10 +6,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_warp_dataset, reference_warp_image
-from orbiconv import experiments
+from orbiconv import experiments, layers
 from orbiconv.experiments import (
+    MAX_PATCH_BYTES,
     Config,
     ConfigError,
+    DataConfig,
     RobustnessSweep,
     SmallCNN,
     WarpMode,
@@ -18,14 +20,17 @@ from orbiconv.experiments import (
     load_config,
     output_dir,
     parse_config,
+    patch_bytes,
     robustness_csv,
     robustness_eval,
+    train_setup,
     warp_dataset,
     warp_images,
     write_manifest,
 )
 from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.rng import stream
+from orbiconv.train import train
 
 
 def warp_image(img, angle, mode):
@@ -247,6 +252,50 @@ def test_unknown_shape_and_config_key_rejected():
     compare_config(cfg)
     with pytest.raises(ConfigError, match="compare.seed$"):
         output_dir(cfg)
+
+
+@pytest.mark.parametrize("n_per_class, batch_size", [(40, 16), (20, 16),
+                                                     (40, 72)])
+def test_patch_rule_is_a_runs_largest_patch_matrix(monkeypatch, n_per_class,
+                                                   batch_size):
+    """`patch_bytes` is the largest im2col matrix that training and
+    evaluation build: `evaluate`'s 64-image batch, the whole split of 40 or
+    a train batch of 72, at size 9 (9 -> 5 -> 3 over the pools)."""
+    built = []
+
+    def recording(*args):
+        out = real(*args)
+        built.append(out.nbytes)
+        return out
+
+    real = layers.extract_patches
+    monkeypatch.setattr(layers, "extract_patches", recording)
+    setup = train_setup(parse_config(
+        f"model.kernel_size = 5\ndata.size = 9\ndata.n_per_class = "
+        f"{n_per_class}\ntrain.batch_size = {batch_size}\ntrain.epochs = 1"))
+    train(*setup.build(), setup.train)
+    assert max(built) == patch_bytes(5, setup.data, batch_size)
+
+
+@pytest.mark.parametrize("n_per_class, ok", [(8, True), (9, False)])
+@pytest.mark.parametrize("read, lines, key", [
+    (train_setup, "model.kernel_size = 31\ndata.size = 64\n"
+     "data.n_per_class = {n}", "model.kernel_size"),
+    (compare_config, "compare.kernel_sizes = 3,31\ncompare.size = 64\n"
+     "compare.n_per_class = {n}", "compare.kernel_sizes"),
+], ids=["train", "compare"])
+def test_patch_bound_is_inclusive(read, lines, key, n_per_class, ok):
+    """At K = 31 and size 64 the second block's patches take 8 x 961 x 32^2
+    x 4 bytes an image: a split of 16 images fits in 512 MB, one of 18 does
+    not."""
+    cfg = parse_config(lines.format(n=n_per_class))
+    assert (patch_bytes(31, DataConfig(n_per_class=n_per_class, size=64), 16)
+            <= MAX_PATCH_BYTES) == ok
+    if ok:
+        read(cfg)
+    else:
+        with pytest.raises(ConfigError, match=f"^{key}: kernel size 31"):
+            read(cfg)
 
 
 def test_parse_config():
