@@ -130,9 +130,9 @@ def add(a: Var, b: Var) -> Var:
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
+            a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
+            b.accumulate(g)
 
     return Var(out_data, (a, b), bw)
 
@@ -150,9 +150,9 @@ def mul(a: Var, b: Var) -> Var:
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a.accumulate(g * b.data)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b.accumulate(g * a.data)
 
     return Var(out_data, (a, b), bw)
 
@@ -244,13 +244,3 @@ def softmax_vec(a: Var) -> Var:
             a.accumulate(s * (g - float(np.dot(g, s))))
 
     return Var(s, (a,), bw)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to `shape`."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g

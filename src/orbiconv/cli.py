@@ -19,6 +19,7 @@ from .experiments import (
     SEARCH_DATA,
     ConfigError,
     RobustnessSweep,
+    check_search_bytes,
     compare_config,
     compare_kernels,
     from_config,
@@ -126,6 +127,7 @@ def _cmd_search(args) -> int:
         "num_nodes", "num_cells", "channels", "epochs", "batch_size",
         "lr_init", "weight_decay", "alpha_lr", "alpha_weight_decay", "seed"))
     data = from_config(SEARCH_DATA, cfg, "data", DATA_KEYS)
+    check_search_bytes(scfg, data)
     cfg.reject_unread()
     for path in filter(None, (args.out, args.dot)):
         if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".",

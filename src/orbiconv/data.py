@@ -84,17 +84,20 @@ def check_image_size(size: int) -> None:
         raise ValueError(f"size must be at most {MAX_IMAGE_SIZE}, got {size}")
 
 
-# The most bytes of one split's float32 images: 1000 per class of side 256.
-MAX_SPLIT_BYTES = 2**29
+# The byte budget of each memory rule: the most bytes of one split's float32
+# images (1000 per class of side 256), of a SmallCNN run's largest im2col
+# patch matrix, of a supernet's float32 weights and of the activations its
+# first cell keeps for the backward.
+MAX_BYTES = 2**29
 
 
 def check_split_size(n_per_class: int, size: int) -> None:
     """Raise ValueError unless a split of 2 * n_per_class images of side
-    `size` holds at most MAX_SPLIT_BYTES."""
-    most = MAX_SPLIT_BYTES // (2 * size * size * 4)
+    `size` holds at most MAX_BYTES."""
+    most = MAX_BYTES // (2 * size * size * 4)
     if n_per_class > most:
         raise ValueError(f"n_per_class must be at most {most} at size {size} "
-                         f"({MAX_SPLIT_BYTES >> 20} MB a split), got "
+                         f"({MAX_BYTES >> 20} MB a split), got "
                          f"{n_per_class}")
 
 

@@ -12,8 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import (Dataset, SynthKind, check_image_size, check_split_size,
-                   gen_synthetic)
+from .data import (MAX_BYTES, Dataset, SynthKind, check_image_size,
+                   check_split_size, gen_synthetic)
 from .geometry import Mode, check_kernel_size
 from .integrated import EvalBranch, IntegratedConv
 from .autodiff import relu
@@ -25,6 +25,7 @@ from .layers import (
     avg_pool2d,
     global_avg_pool,
 )
+from .nas import SEP_CONVS, SearchConfig, cell_edges
 from .rng import stream
 from .train import EVAL_BATCH, TrainConfig, evaluate, train
 
@@ -413,11 +414,6 @@ class CompareConfig:
             check_kernel_size(k, "kernel_sizes")
 
 
-# The most bytes of one im2col patch matrix of a SmallCNN run, the bound of
-# a split's images and of the supernet's weights.
-MAX_PATCH_BYTES = 2**29
-
-
 def patch_bytes(kernel_size: int, data: DataConfig, batch_size: int) -> int:
     """Bytes of the largest im2col patch matrix a SmallCNN run on `data`
     builds: B x cin x K^2 x H^2 float32 values over the three blocks, where
@@ -433,14 +429,30 @@ def patch_bytes(kernel_size: int, data: DataConfig, batch_size: int) -> int:
 
 def check_patch_bytes(kernel_size: int, data: DataConfig, batch_size: int,
                       key: str) -> None:
-    """Raise ConfigError naming `key` if `patch_bytes` passes
-    MAX_PATCH_BYTES."""
+    """Raise ConfigError naming `key` if `patch_bytes` passes MAX_BYTES."""
     need = patch_bytes(kernel_size, data, batch_size)
-    if need > MAX_PATCH_BYTES:
+    if need > MAX_BYTES:
         raise ConfigError(
             f"{key}: kernel size {kernel_size} at image size {data.size} "
             f"needs a {need >> 20} MB im2col patch matrix (at most "
-            f"{MAX_PATCH_BYTES >> 20} MB)")
+            f"{MAX_BYTES >> 20} MB)")
+
+
+def check_search_bytes(cfg: SearchConfig, data: DataConfig) -> None:
+    """Raise ConfigError naming `search.batch_size` if a lower bound of the
+    activations a search keeps for a backward passes MAX_BYTES: each
+    separable conv on each edge of the first cell keeps at least one
+    float32 (b, C, H, W) array, its padded depthwise input, where b, a
+    train batch, is at most a split."""
+    b = min(cfg.batch_size, 2 * data.n_per_class)
+    convs = len(cell_edges(cfg.num_nodes)) * sum(
+        name in SEP_CONVS for name in cfg.op_names)
+    need = convs * b * cfg.channels * data.size**2 * 4
+    if need > MAX_BYTES:
+        raise ConfigError(
+            f"search.batch_size: {b} images of size {data.size} at "
+            f"{cfg.channels} channels need {need >> 20} MB of activations "
+            f"in the first cell (at most {MAX_BYTES >> 20} MB)")
 
 
 def compare_config(cfg: Config) -> CompareConfig:

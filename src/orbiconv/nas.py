@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .autodiff import Var, add, concat, frozen, relu, softmax_vec, weighted_sum
-from .data import Dataset
+from .data import MAX_BYTES, Dataset
 from .geometry import Mode
 from .layers import (
     ChannelAffine,
@@ -63,35 +64,23 @@ class Zero(Module):
         return Var(np.zeros_like(x.data[:, :, ::s, ::s]), requires_grad=False)
 
 
-class Pool(Module):
-    def __init__(self, kind: str, stride: int = 1):
-        self.kind = kind
-        self.stride = stride
-
-    def forward(self, x: Var) -> Var:
-        if self.kind == "max":
-            return max_pool2d(x, 3, self.stride, 1)
-        return avg_pool2d(x, 3, self.stride, 1)
-
-
 class SepConv(Module):
     """relu -> depthwise KxK -> pointwise 1x1 -> per-channel affine."""
 
     def __init__(self, c: int, k: int, stride: int, *, dilation: int = 1,
-                 mode: Mode = Mode.SQUARE, rng=None, dtype=np.float32):
+                 mode: Mode = Mode.SQUARE, rng=None):
         pad = dilation * (k - 1) // 2
         self.depthwise = Conv2d(c, c, k, stride=stride, padding=pad,
                                 dilation=dilation, mode=mode,
-                                depthwise=True, bias=False, rng=rng, dtype=dtype)
+                                depthwise=True, bias=False, rng=rng)
         if mode is Mode.CIRCULAR:
             # the transform shrinks the effective kernel's variance; rescale
             # the init so both kernel shapes start at the same output scale
             dense = self.depthwise.transform.dense()
             gain = np.sqrt(k * k / np.trace(dense.T @ dense))
-            self.depthwise.weights.data = (
-                self.depthwise.weights.data * gain).astype(dtype)
-        self.pointwise = Conv2d(c, c, 1, bias=False, rng=rng, dtype=dtype)
-        self.affine = ChannelAffine(c, dtype=dtype)
+            self.depthwise.weights.data *= gain
+        self.pointwise = Conv2d(c, c, 1, bias=False, rng=rng)
+        self.affine = ChannelAffine(c)
 
     def forward(self, x: Var) -> Var:
         return self.affine(self.pointwise(self.depthwise(relu(x))))
@@ -108,8 +97,8 @@ SEP_CONVS = {
 }
 # name -> constructor from the stride, for the ops without weights
 PLAIN_OPS = {
-    "max_pool_3x3": lambda stride: Pool("max", stride),
-    "avg_pool_3x3": lambda stride: Pool("avg", stride),
+    "max_pool_3x3": lambda stride: lambda x: max_pool2d(x, 3, stride, 1),
+    "avg_pool_3x3": lambda stride: lambda x: avg_pool2d(x, 3, stride, 1),
     "identity": Identity,
     "zero": Zero,
 }
@@ -119,17 +108,17 @@ CIRCULAR_OPS = {name for name, (_, _, mode) in SEP_CONVS.items()
                 if mode is Mode.CIRCULAR}
 
 
-def make_op(name: str, c: int, stride: int, rng, dtype=np.float32) -> Module:
+def make_op(name: str, c: int, stride: int, rng) -> Callable[[Var], Var]:
     if name in SEP_CONVS:
         k, dilation, mode = SEP_CONVS[name]
-        return SepConv(c, k, stride, dilation=dilation, mode=mode, rng=rng,
-                       dtype=dtype)
+        return SepConv(c, k, stride, dilation=dilation, mode=mode, rng=rng)
     if name in PLAIN_OPS:
         return PLAIN_OPS[name](stride)
     raise ValueError(f"unknown operation {name!r}")
 
 
-def mixed_op_forward(x: Var, alpha: Var, ops: list[Module]) -> Var:
+def mixed_op_forward(x: Var, alpha: Var,
+                     ops: list[Callable[[Var], Var]]) -> Var:
     """Softmax(alpha)-weighted sum of the candidate operations."""
     if len(ops) == 0:
         raise ValueError("empty operation list")
@@ -146,25 +135,22 @@ def cell_edges(num_nodes: int) -> list[tuple[int, int]]:
 
 class SearchCell(Module):
     def __init__(self, num_nodes: int, c: int, reduction: bool,
-                 op_names: list[str], cell_id: int, seed: int,
-                 dtype=np.float32):
+                 op_names: list[str], cell_id: int, seed: int):
         self.reduction = reduction
         self.edges = cell_edges(num_nodes)
-        self.edge_ops: list[list[Module]] = []
+        self.edge_ops: list[list[Callable[[Var], Var]]] = []
         for i, j in self.edges:
             stride = 2 if (reduction and i < 2) else 1
             ops = [
                 make_op(name, c, stride,
-                        stream(seed, f"w/cell{cell_id}/e{i}-{j}/{name}"),
-                        dtype)
+                        stream(seed, f"w/cell{cell_id}/e{i}-{j}/{name}"))
                 for name in op_names
             ]
             self.edge_ops.append(ops)
         n_inter = num_nodes - 2
         self.combine = Conv2d(n_inter * c, c, 1, bias=False,
-                              rng=stream(seed, f"w/cell{cell_id}/combine"),
-                              dtype=dtype)
-        self.combine_affine = ChannelAffine(c, dtype=dtype)
+                              rng=stream(seed, f"w/cell{cell_id}/combine"))
+        self.combine_affine = ChannelAffine(c)
 
     def forward_cell(self, s0: Var, s1: Var, alphas: list[Var]) -> Var:
         # edges come in (j, i) order, so each state an edge reads is complete;
@@ -180,8 +166,6 @@ class SearchCell(Module):
         return self.combine_affine(self.combine(out))
 
 
-# The most bytes of a supernet's float32 weights.
-MAX_SUPERNET_BYTES = 2**29
 # The most nodes of a cell (DARTS has 6); its edges grow as their square.
 MAX_NODES = 64
 
@@ -228,11 +212,11 @@ class SearchConfig(TrainConfig):
             len(cell_edges(self.num_nodes))
             * sum(name in SEP_CONVS for name in self.op_names)
             + self.num_nodes - 2)
-        most = math.isqrt(MAX_SUPERNET_BYTES // (4 * squares))
+        most = math.isqrt(MAX_BYTES // (4 * squares))
         if self.channels > most:
             raise ValueError(
                 f"channels must be at most {most} with {self.num_cells} "
-                f"cells of {self.num_nodes} nodes ({MAX_SUPERNET_BYTES >> 20}"
+                f"cells of {self.num_nodes} nodes ({MAX_BYTES >> 20}"
                 f" MB of float32 weights), got {self.channels}")
 
 
@@ -273,8 +257,6 @@ class SearchNetwork(Module):
         s0 = s1 = s
         for cell in self.cells:
             alphas = self.alphas_reduce if cell.reduction else self.alphas_normal
-            if s0.data.shape[2] != s1.data.shape[2]:
-                s0 = avg_pool2d(s0, 3, 2, 1)
             out = cell.forward_cell(s0, s1, alphas)
             s0, s1 = s1, out
         return self.classifier(global_avg_pool(s1))

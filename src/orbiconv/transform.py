@@ -30,6 +30,7 @@ padding term exists that could make a 0 * inf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -135,16 +136,17 @@ def build_transform(geometry: SamplePointSet) -> TransformMatrix:
     k = geometry.kernel_size
     d = geometry.dilation
     m = (k - 1) // 2
-    # grid coordinates normalized by the dilation, so spacing is 1
-    grid = [(col - m, m - row) for row in range(k) for col in range(k)]
     rows = []
     for i, p in enumerate(geometry.points):
+        # in grid coordinates normalized by the dilation, so spacing is 1,
+        # only the four grid neighbours can weigh; row-major: upper row first
         rx, ry = p.x / d, p.y / d
         entries = []
-        for col, (gx, gy) in enumerate(grid):
-            w = bilinear_weight(SamplePoint(float(gx), float(gy)), SamplePoint(rx, ry))
-            if w > 0.0:
-                entries.append((col, w))
+        for gy in (math.floor(ry) + 1, math.floor(ry)):
+            for gx in (math.floor(rx), math.floor(rx) + 1):
+                w = bilinear_weight(SamplePoint(float(gx), float(gy)), SamplePoint(rx, ry))
+                if w > 0.0 and max(abs(gx), abs(gy)) <= m:
+                    entries.append(((m - gy) * k + gx + m, w))
         total = sum(v for _, v in entries)
         if abs(total - 1.0) > 1e-9:
             raise TransformBuildError(

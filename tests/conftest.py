@@ -14,9 +14,12 @@ import numpy as np
 from orbiconv.autodiff import Var, tape
 from orbiconv.data import Dataset, _circular_footprint
 from orbiconv.experiments import WarpMode
-from orbiconv.geometry import circular_points, square_points
+from orbiconv.geometry import (SamplePoint, SamplePointSet, circular_points,
+                               square_points)
 from orbiconv.layers import reparameterized
-from orbiconv.transform import reparameterize, transform_gradient_pushforward
+from orbiconv.transform import (TransformBuildError, TransformMatrix,
+                                bilinear_weight, reparameterize,
+                                transform_gradient_pushforward)
 
 
 def bilin_sample_dilated(img: np.ndarray, row: float, col: float,
@@ -114,6 +117,27 @@ def reference_backward(root: Var) -> None:
 def nan_as_one(a):
     """`a` with every NaN the same +NaN."""
     return np.where(np.isnan(a), np.array(np.nan, a.dtype), a)
+
+
+def reference_build_transform(geometry: SamplePointSet) -> TransformMatrix:
+    """`build_transform` as it ran before it visited only each point's four
+    grid neighbours: every point against all K^2 grid points, row-major."""
+    k, d = geometry.kernel_size, geometry.dilation
+    m = (k - 1) // 2
+    grid = [(col - m, m - row) for row in range(k) for col in range(k)]
+    rows = []
+    for i, p in enumerate(geometry.points):
+        rx, ry = p.x / d, p.y / d
+        entries = []
+        for col, (gx, gy) in enumerate(grid):
+            w = bilinear_weight(SamplePoint(float(gx), float(gy)),
+                                SamplePoint(rx, ry))
+            if w > 0.0:
+                entries.append((col, w))
+        if abs(sum(v for _, v in entries) - 1.0) > 1e-9:
+            raise TransformBuildError(f"point {i} escapes the patch")
+        rows.append(tuple(entries))
+    return TransformMatrix(k, d, tuple(rows))
 
 
 # The loops over B's nonzeros that `orbiconv.transform` ran before its one

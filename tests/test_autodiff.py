@@ -36,6 +36,15 @@ def test_add_mul_backward():
     assert np.allclose(b.grad, [3.5, 5.0])
 
 
+@pytest.mark.parametrize("op", [add, mul])
+def test_add_mul_backward_rejects_a_broadcast_operand(op):
+    """`add` and `mul` do not reduce a broadcast gradient back to its
+    operand: the forward broadcasts, the backward fails on the shapes."""
+    out = op(Var(np.ones((2, 3))), Var(np.ones(3)))
+    with pytest.raises(ValueError):
+        out.backward(np.ones((2, 3)))
+
+
 def test_matmul_backward():
     rng = np.random.default_rng(0)
     a = Var(rng.standard_normal((3, 4)))

@@ -6,8 +6,10 @@ removing every hook here makes a rename or move fail in the test suite
 instead of in a benchmark run. The perfbench files are only imported.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -65,6 +67,32 @@ def test_every_workload_sets_up(monkeypatch):
     pkg = {m: importlib.import_module(f"orbiconv.{m}") for m in MODULES}
     for workload in workloads.WORKLOADS.values():
         assert workload.images(workload.setup(pkg, 0)) > 0
+
+
+# The first 16 hex digits of the sha256 of each workload's episode outputs
+# (`json.dumps(outputs, sort_keys=True)`) for cases 0 and 1. A change that
+# moves numerics updates this table as an argued change.
+OUTPUT_HASHES = {
+    "search_planted": ("a17235d7dce5301e", "70a4db379a564e4c"),
+    "search_darts": ("5552f03382c2095e", "e62f5b339d3318de"),
+    "train_integrated": ("e472e93ca35c20e8", "a022b7c656c5508c"),
+    "robust_rotate": ("42c9e234ef467fc6", "671aeea141f401c3"),
+}
+
+
+def test_workload_outputs_keep_their_bytes(monkeypatch):
+    """One episode of cases 0 and 1 of every workload hashes as recorded:
+    a change to the package that moves a byte of any output fails here."""
+    workloads = _load("workloads", monkeypatch)
+    pkg = {m: importlib.import_module(f"orbiconv.{m}") for m in MODULES}
+    hashes = {}
+    for name, workload in workloads.WORKLOADS.items():
+        hashes[name] = tuple(
+            hashlib.sha256(json.dumps(
+                workload.episode(pkg, workload.setup(pkg, case)),
+                sort_keys=True).encode()).hexdigest()[:16]
+            for case in (0, 1))
+    assert hashes == OUTPUT_HASHES
 
 
 def test_tracer_sees_every_search_op(monkeypatch):

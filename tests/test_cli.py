@@ -267,6 +267,9 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
      "train.epochs = 1", "model.kernel_size: kernel size 31"),
     ("compare", "compare.kernel_sizes = 3,31\ncompare.size = 256\n"
      "compare.n_per_class = 8", "compare.kernel_sizes: kernel size 31"),
+    ("search", "search.batch_size = 8192\nsearch.channels = 64\n"
+     "data.size = 32\ndata.n_per_class = 8192",
+     "search.batch_size: 8192 images of size 32 at 64 channels"),
 ], ids=["compare-even-kernel", "train-batch-0", "search-batch-0",
         "search-channels-0", "search-nodes-2", "search-nodes-100000",
         "search-cells-0",
@@ -287,7 +290,7 @@ def test_zero_epochs_exits_2_naming_the_key(tmp_path, capsys, command, key):
         "compare-aliased-shape",
         "compare-repeated-kernel-size", "compare-repeated-seed",
         "compare-unknown-dataset", "train-patches-8-gb",
-        "compare-patches-8-gb"])
+        "compare-patches-8-gb", "search-activations-108-gb"])
 def test_bad_value_exits_2_before_any_data(tmp_path, capsys, monkeypatch,
                                            command, line, named):
     """A value out of its field's range exits 2 naming the field, before

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ring_template, square_ring_template
 from orbiconv.data import (
-    MAX_SPLIT_BYTES,
+    MAX_BYTES,
     Dataset,
     IdxFormatError,
     Split,
@@ -30,10 +30,10 @@ def test_dataset_validation():
 
 @pytest.mark.parametrize("size", [8, 16, 100, 256])
 def test_split_bytes_are_bounded(size):
-    """A split's float32 images hold at most MAX_SPLIT_BYTES: the largest
+    """A split's float32 images hold at most MAX_BYTES: the largest
     accepted n_per_class fits, one more is rejected naming it, and
     gen_synthetic rejects it before it allocates."""
-    most = MAX_SPLIT_BYTES // (2 * size * size * 4)
+    most = MAX_BYTES // (2 * size * size * 4)
     assert DataConfig(n_per_class=most, size=size).n_per_class == most
     for make in (lambda n: DataConfig(n_per_class=n, size=size),
                  lambda n: gen_synthetic(SynthKind.RING_VS_CROSS, n, size, 0)):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import reference_warp_dataset, reference_warp_image
 from orbiconv import experiments, layers
+from orbiconv.autodiff import Var
 from orbiconv.experiments import (
-    MAX_PATCH_BYTES,
+    SEARCH_DATA,
     Config,
     ConfigError,
     DataConfig,
     RobustnessSweep,
     SmallCNN,
     WarpMode,
+    check_search_bytes,
     compare_config,
     compare_kernels,
     load_config,
@@ -28,7 +31,8 @@ from orbiconv.experiments import (
     warp_images,
     write_manifest,
 )
-from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
+from orbiconv.data import MAX_BYTES, Dataset, Split, SynthKind, gen_synthetic
+from orbiconv.nas import PRIMITIVES, SearchConfig, SearchNetwork
 from orbiconv.rng import stream
 from orbiconv.train import train
 
@@ -290,12 +294,48 @@ def test_patch_bound_is_inclusive(read, lines, key, n_per_class, ok):
     not."""
     cfg = parse_config(lines.format(n=n_per_class))
     assert (patch_bytes(31, DataConfig(n_per_class=n_per_class, size=64), 16)
-            <= MAX_PATCH_BYTES) == ok
+            <= MAX_BYTES) == ok
     if ok:
         read(cfg)
     else:
         with pytest.raises(ConfigError, match=f"^{key}: kernel size 31"):
             read(cfg)
+
+
+@pytest.mark.parametrize("batch_size, n_per_class, ok", [
+    (1213, 607, True), (1214, 607, False), (1214, 606, True)])
+def test_search_activation_bound_is_inclusive(batch_size, n_per_class, ok):
+    """By default the first cell's 9 edges of 6 separable convs keep 8 x 16^2
+    float32 values an image each: a batch of 1213 fits in 512 MB and one of
+    1214 does not, unless a split of 1212 images caps the batch."""
+    cfg = SearchConfig(batch_size=batch_size)
+    data = replace(SEARCH_DATA, n_per_class=n_per_class)
+    if ok:
+        check_search_bytes(cfg, data)
+    else:
+        with pytest.raises(ConfigError,
+                           match="^search.batch_size: 1214 images of size 16"):
+            check_search_bytes(cfg, data)
+
+
+def test_search_activation_rule_is_a_lower_bound(monkeypatch):
+    """What the rule counts is at most the padded depthwise inputs that a
+    one-cell supernet's forward builds and keeps for the backward."""
+    padded = []
+
+    def recording(*args):
+        out = real(*args)
+        padded.append(out.nbytes)
+        return out
+
+    real = layers._pad
+    monkeypatch.setattr(layers, "_pad", recording)
+    cfg = SearchConfig(num_nodes=4, num_cells=1, channels=3, batch_size=2,
+                       op_names=list(PRIMITIVES))
+    x = np.zeros((2, 1, 8, 8), np.float32)
+    SearchNetwork(cfg, 1, 2)(Var(x, requires_grad=False))
+    monkeypatch.setattr(experiments, "MAX_BYTES", sum(padded))
+    check_search_bytes(cfg, replace(SEARCH_DATA, n_per_class=1, size=8))
 
 
 def test_parse_config():

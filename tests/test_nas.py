@@ -5,14 +5,13 @@ import pytest
 
 from orbiconv import layers
 from orbiconv.autodiff import Var, frozen
-from orbiconv.data import Dataset, Split, SynthKind, gen_synthetic
+from orbiconv.data import MAX_BYTES, Dataset, Split, SynthKind, gen_synthetic
 from orbiconv.nas import (
     Adam,
     CIRCULAR_OPS,
     CellGenotype,
     Identity,
     PRIMITIVES,
-    MAX_SUPERNET_BYTES,
     SearchConfig,
     SearchNetwork,
     Zero,
@@ -77,14 +76,14 @@ def test_primitive_roster():
 
 @pytest.mark.parametrize("name", PRIMITIVES)
 def test_every_op_preserves_channels_and_size(name):
-    op = make_op(name, 4, 1, stream(0, f"op/{name}"), np.float64)
+    op = make_op(name, 4, 1, stream(0, f"op/{name}"))
     x = _const(np.random.default_rng(0).standard_normal((2, 4, 8, 8)))
     assert op(x).data.shape == (2, 4, 8, 8)
 
 
 @pytest.mark.parametrize("name", PRIMITIVES)
 def test_every_op_stride_two_halves_size(name):
-    op = make_op(name, 4, 2, stream(0, f"op/{name}"), np.float64)
+    op = make_op(name, 4, 2, stream(0, f"op/{name}"))
     x = _const(np.random.default_rng(1).standard_normal((1, 4, 8, 8)))
     assert op(x).data.shape == (1, 4, 4, 4)
 
@@ -126,7 +125,7 @@ def test_mixed_op_saturated_alpha_selects_one_branch():
 
 def test_mixed_op_matches_manual_softmax_combination():
     rng = np.random.default_rng(4)
-    ops = [make_op(n, 3, 1, stream(0, f"mix/{n}"), np.float64)
+    ops = [make_op(n, 3, 1, stream(0, f"mix/{n}"))
            for n in ("sep_conv_3x3", "identity", "avg_pool_3x3")]
     x = _const(rng.standard_normal((1, 3, 6, 6)))
     a = rng.standard_normal(3)
@@ -245,9 +244,28 @@ def test_network_forward_shapes_and_param_split():
     assert all(id(a) not in ids for a in arch)
 
 
+@pytest.mark.parametrize("num_cells", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [9, 8])
+def test_supernet_cells_read_inputs_of_one_size(num_cells, size):
+    """Only the last cell reduces, so the two inputs of every cell have one
+    size and each node sums its edges as they are, at an odd and an even
+    size: a forward and backward of any depth runs, and every weight and
+    every alpha of a cell type that ran gets a gradient of its shape."""
+    net = SearchNetwork(SearchConfig(num_nodes=4, num_cells=num_cells,
+                                     channels=2, op_names=list(PRIMITIVES)),
+                        1, 2)
+    x = np.random.default_rng(0).random((2, 1, size, size), dtype=np.float32)
+    logits = net(Var(x, requires_grad=False))
+    assert logits.data.shape == (2, 2)
+    layers.softmax_cross_entropy(logits, np.array([0, 1])).backward()
+    alphas = net.alphas_normal + (net.alphas_reduce if num_cells > 1 else [])
+    assert all(p.grad is not None and p.grad.shape == p.data.shape
+               for p in net.params() + alphas)
+
+
 def test_reduction_cell_halves_spatial_size():
     from orbiconv.nas import SearchCell
-    cell = SearchCell(4, 4, True, PRIMITIVES, 0, 0, np.float64)
+    cell = SearchCell(4, 4, True, PRIMITIVES, 0, 0)
     s = _const(np.random.default_rng(9).standard_normal((1, 4, 8, 8)))
     alphas = [Var(np.zeros(len(PRIMITIVES))) for _ in cell_edges(4)]
     out = cell.forward_cell(s, s, alphas)
@@ -382,7 +400,7 @@ def test_search_config_bounds_the_supernet_weights(num_nodes, num_cells,
         SearchConfig(channels=10**6, **opts)
     most = int(str(e.value).split()[5])
     assert SearchConfig(channels=most, **opts).channels == most
-    assert (4 * squares * most**2 <= MAX_SUPERNET_BYTES
+    assert (4 * squares * most**2 <= MAX_BYTES
             < 4 * squares * (most + 1)**2)
     with pytest.raises(ValueError, match=f"at most {most} "):
         SearchConfig(channels=most + 1, **opts)

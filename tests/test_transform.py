@@ -9,10 +9,12 @@ from conftest import (
     circular_kernel,
     direct_bilinear_at,
     nan_as_one,
+    reference_build_transform,
     reference_reparameterize,
     reference_resample_patch,
 )
-from orbiconv.geometry import SamplePoint, circular_points, square_points
+from orbiconv.geometry import (Mode, SamplePoint, SamplePointSet,
+                               circular_points, square_points)
 from orbiconv.layers import conv2d, extract_patches
 from orbiconv.autodiff import Var
 from orbiconv.transform import (
@@ -73,6 +75,26 @@ def test_build_transform_k1():
 def test_build_transform_rejects_square_geometry():
     with pytest.raises(ValueError):
         build_transform(square_points(3))
+
+
+@pytest.mark.parametrize("k, d", [(k, d) for k in range(1, 16, 2)
+                                  for d in (1, 2, 3, 4)] + [(31, 1), (31, 2)])
+def test_build_transform_matches_the_full_grid_scan(k, d):
+    """Each row from a point's four grid neighbours equals the row from
+    all K^2 grid points: same columns, same order, same coefficient bits."""
+    geo = circular_points(k, d)
+    assert build_transform(geo).rows == reference_build_transform(geo).rows
+
+
+def test_build_transform_rejects_an_escaping_support():
+    """A point whose neighbours leave the patch loses their weight, so its
+    row sums short of 1: both builds reject it."""
+    points = list(circular_points(3).points)
+    points[5] = SamplePoint(1.5, 0.0)
+    geo = SamplePointSet(3, Mode.CIRCULAR, tuple(points))
+    for build in (build_transform, reference_build_transform):
+        with pytest.raises(TransformBuildError):
+            build(geo)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
