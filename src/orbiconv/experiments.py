@@ -442,8 +442,9 @@ def check_search_bytes(cfg: SearchConfig, data: DataConfig) -> None:
     """Raise ConfigError naming `search.batch_size` if a lower bound of the
     activations a search keeps for a backward passes MAX_BYTES: each
     separable conv on each edge of the first cell keeps at least one
-    float32 (b, C, H, W) array, its padded depthwise input, where b, a
-    train batch, is at most a split."""
+    float32 (b, C, H, W) array, its depthwise output, which its pointwise
+    conv keeps as its patches, where b, a train batch, is at most a
+    split."""
     b = min(cfg.batch_size, 2 * data.n_per_class)
     convs = len(cell_edges(cfg.num_nodes)) * sum(
         name in SEP_CONVS for name in cfg.op_names)

@@ -36,7 +36,11 @@ gradient onto the padded row it came from (`_row_adjoint`); the weight
 gradient is, per kernel row, one BLAS product per channel of the output
 gradient against the rows that kernel row read, summed along each band
 diagonal (`_band_taps`). The largest temporary is K times the padded
-input. Since no product spans two samples, no bit depends on the batch.
+input. The conv keeps the padded input for its backward; a caller that
+already holds it (a supernet edge's separable convs share one zero-bordered
+copy of their relu input) hands it over as `padded`. The rows are copied
+contiguously either way, so no bit depends on which. Since no product
+spans two samples, no bit depends on the batch.
 The band's and the adjoint's zeros take part in the sums, so a non-finite
 input value reaches every output of its rows (0 * inf is NaN), and a
 non-finite output gradient every input gradient of its sample and channel;
@@ -219,11 +223,18 @@ def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
 
 
 def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
-           padding: int = 0, dilation: int = 1, depthwise: bool = False) -> Var:
+           padding: int = 0, dilation: int = 1, depthwise: bool = False,
+           padded: np.ndarray | None = None) -> Var:
     """2D convolution (cross-correlation) of `x` with the kernel `weights`:
     (Cout, Cin, K, K), or (C, 1, K, K) when depthwise. A circular kernel
-    comes in as `reparameterized` weights, so the conv never sees B."""
+    comes in as `reparameterized` weights, so the conv never sees B.
+    `padded`, depthwise only, is `x.data` with zero borders of `padding`,
+    which the conv then reads (cast as its own copy would be) instead of
+    padding `x` again."""
     n, c, h, w = x.data.shape
+    if padded is not None and (not depthwise or padded.shape != (
+            n, c, h + 2 * padding, w + 2 * padding)):
+        raise ValueError("padded must be a depthwise input with its borders")
     cout, cin, k, k2 = weights.data.shape
     if k != k2:
         raise ValueError("only square kernel extents are supported")
@@ -241,7 +252,8 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
         # the channel's band: one BLAS product per sample and channel, so
         # no bit depends on the batch
         dtype = np.result_type(x.data, weights.data)
-        xp = _pad(x.data.astype(dtype, copy=False), padding)
+        xp = (_pad(x.data.astype(dtype, copy=False), padding)
+              if padded is None else padded.astype(dtype, copy=False))
         hp, wp = xp.shape[2:]
         band = _band(weights.data.reshape(c, k, k).astype(dtype, copy=False),
                      wp, ow, stride, dilation)

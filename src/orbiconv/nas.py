@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import layers
 from .autodiff import Var, add, concat, frozen, relu, softmax_vec, weighted_sum
 from .data import MAX_BYTES, Dataset
 from .geometry import Mode
@@ -65,7 +66,11 @@ class Zero(Module):
 
 
 class SepConv(Module):
-    """relu -> depthwise KxK -> pointwise 1x1 -> per-channel affine."""
+    """relu -> depthwise KxK -> pointwise 1x1 -> per-channel affine.
+
+    `SepConv(x)` applies its own relu and pads for its depthwise conv;
+    `after_relu` runs the rest on a relu output the caller made, and may
+    read that output's zero-padded copy from the caller too."""
 
     def __init__(self, c: int, k: int, stride: int, *, dilation: int = 1,
                  mode: Mode = Mode.SQUARE, rng=None):
@@ -83,7 +88,18 @@ class SepConv(Module):
         self.affine = ChannelAffine(c)
 
     def forward(self, x: Var) -> Var:
-        return self.affine(self.pointwise(self.depthwise(relu(x))))
+        return self.after_relu(relu(x))
+
+    def after_relu(self, r: Var, padded: np.ndarray | None = None) -> Var:
+        """The ops after the relu on r = relu(x); `padded`, if given, is
+        `r.data` with zero borders of the depthwise conv's padding. The
+        depthwise conv runs through `layers.conv2d` as looked up when
+        called, as a `Conv2d` runs it."""
+        d = self.depthwise
+        y = layers.conv2d(r, d.kernel(), None, stride=d.stride,
+                          padding=d.padding, dilation=d.dilation,
+                          depthwise=True, padded=padded)
+        return self.affine(self.pointwise(y))
 
 
 # name -> (K, dilation, kernel shape) of each separable conv op
@@ -119,13 +135,36 @@ def make_op(name: str, c: int, stride: int, rng) -> Callable[[Var], Var]:
 
 def mixed_op_forward(x: Var, alpha: Var,
                      ops: list[Callable[[Var], Var]]) -> Var:
-    """Softmax(alpha)-weighted sum of the candidate operations."""
+    """Softmax(alpha)-weighted sum of the candidate operations.
+
+    The separable convs share one relu value and mask, written once into
+    a buffer with zero borders of their largest depthwise padding; each
+    depthwise conv reads an offset view of it. Each conv still gets its
+    own relu node over that value, with x as parent and the relu's
+    backward, so the tape and the order in which x's gradient sums its
+    terms are those of one relu per conv: the bytes do not move."""
     if len(ops) == 0:
         raise ValueError("empty operation list")
     if alpha.data.shape != (len(ops),):
         raise ValueError("alpha length must match the operation count")
     w = softmax_vec(alpha)
-    return weighted_sum([op(x) for op in ops], w)
+    seps = [op for op in ops if isinstance(op, SepConv)]
+    if not seps:
+        return weighted_sum([op(x) for op in ops], w)
+    r = relu(x)
+    border = max(op.depthwise.padding for op in seps)
+    buf = layers._pad(r.data, border)
+    h, wd = x.data.shape[2:]
+    value = buf[:, :, border:border + h, border:border + wd]
+
+    def sep(op: SepConv) -> Var:
+        p = op.depthwise.padding
+        return op.after_relu(Var(value, (x,), r.backward_fn),
+                             buf[:, :, border - p:border + h + p,
+                                 border - p:border + wd + p])
+
+    return weighted_sum([sep(op) if isinstance(op, SepConv) else op(x)
+                         for op in ops], w)
 
 
 def cell_edges(num_nodes: int) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from orbiconv.autodiff import Var, tape
+from orbiconv.autodiff import Var, softmax_vec, tape, weighted_sum
 from orbiconv.data import Dataset, _circular_footprint
 from orbiconv.experiments import WarpMode
 from orbiconv.geometry import (SamplePoint, SamplePointSet, circular_points,
@@ -112,6 +112,13 @@ def reference_backward(root: Var) -> None:
     for node in reversed(order):
         if node.backward_fn is not None and node.grad is not None:
             node.backward_fn(node.grad)
+
+
+def reference_mixed_op_forward(x: Var, alpha: Var, ops) -> Var:
+    """`nas.mixed_op_forward` as it ran before an edge's separable convs
+    shared one relu value and one padded copy of it: every op applied to
+    `x` on its own, so each separable conv makes its own relu and pad."""
+    return weighted_sum([op(x) for op in ops], softmax_vec(alpha))
 
 
 def nan_as_one(a):

@@ -319,22 +319,25 @@ def test_search_activation_bound_is_inclusive(batch_size, n_per_class, ok):
 
 
 def test_search_activation_rule_is_a_lower_bound(monkeypatch):
-    """What the rule counts is at most the padded depthwise inputs that a
-    one-cell supernet's forward builds and keeps for the backward."""
-    padded = []
+    """What the rule counts is at most the depthwise outputs that a
+    one-cell supernet's forward builds and its pointwise convs keep, as
+    their patches, for the backward."""
+    kept = []
 
-    def recording(*args):
-        out = real(*args)
-        padded.append(out.nbytes)
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if kwargs.get("depthwise"):
+            kept.append(out.data.nbytes)
         return out
 
-    real = layers._pad
-    monkeypatch.setattr(layers, "_pad", recording)
+    real = layers.conv2d
+    monkeypatch.setattr(layers, "conv2d", recording)
     cfg = SearchConfig(num_nodes=4, num_cells=1, channels=3, batch_size=2,
                        op_names=list(PRIMITIVES))
     x = np.zeros((2, 1, 8, 8), np.float32)
     SearchNetwork(cfg, 1, 2)(Var(x, requires_grad=False))
-    monkeypatch.setattr(experiments, "MAX_BYTES", sum(padded))
+    assert len(kept) == 30
+    monkeypatch.setattr(experiments, "MAX_BYTES", sum(kept))
     check_search_bytes(cfg, replace(SEARCH_DATA, n_per_class=1, size=8))
 
 

@@ -608,6 +608,31 @@ def _check_conv(n, cin, cout, h, w, k, stride, dil, pad, dtypes, circular,
     return ref, got
 
 
+def test_depthwise_conv_reads_a_padded_input_as_its_own_pad():
+    """A depthwise conv handed its input's zero-padded copy gives the bytes
+    of the conv that pads itself, also when it must cast that copy: a
+    float32 input under float64 weights. A copy of any other shape, or one
+    handed to a dense conv, is refused."""
+    rng = np.random.default_rng(0)
+    x_data = rng.standard_normal((2, 3, 6, 5)).astype(np.float32)
+    w_data = rng.standard_normal((3, 1, 3, 3))
+    g = rng.standard_normal((2, 3, 3, 3))
+
+    def run(padded):
+        x, wt = Var(x_data.copy()), Var(w_data.copy())
+        out = conv2d(x, wt, None, stride=2, padding=1, dilation=1,
+                     depthwise=True, padded=padded)
+        out.backward(g)
+        return [a.tobytes() for a in (out.data, x.grad, wt.grad)]
+
+    assert run(layers._pad(x_data, 1)) == run(None)
+    with pytest.raises(ValueError, match="padded"):
+        run(layers._pad(x_data, 2))
+    with pytest.raises(ValueError, match="padded"):
+        conv2d(Var(x_data), Var(rng.standard_normal((3, 3, 3, 3))), None,
+               padding=1, padded=layers._pad(x_data, 1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 4),
        h=st.integers(1, 12), w=st.integers(1, 12),

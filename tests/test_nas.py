@@ -2,7 +2,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_mixed_op_forward
 from orbiconv import layers
 from orbiconv.autodiff import Var, frozen
 from orbiconv.data import MAX_BYTES, Dataset, Split, SynthKind, gen_synthetic
@@ -12,6 +15,7 @@ from orbiconv.nas import (
     CellGenotype,
     Identity,
     PRIMITIVES,
+    SEP_CONVS,
     SearchConfig,
     SearchNetwork,
     Zero,
@@ -153,6 +157,72 @@ def test_mixed_op_alpha_gradient_flows():
     # increasing the identity logit increases the output sum
     assert alpha.grad[0] > 0 > alpha.grad[1]
     assert alpha.grad.sum() == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(st.sampled_from(PRIMITIVES), min_size=1, unique=True)
+       .filter(lambda names: any(n in SEP_CONVS for n in names)),
+       stride=st.sampled_from([1, 2]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       n=st.integers(1, 2), c=st.integers(1, 3), h=st.integers(1, 7),
+       w=st.integers(1, 7),
+       specials=st.lists(st.sampled_from([-0.0, np.inf, -np.inf]),
+                         max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(names=list(PRIMITIVES), stride=2, dtype=np.float32, n=2, c=3, h=7,
+         w=6, specials=[-0.0, np.inf, -np.inf], seed=0)
+@example(names=["circ_dil_conv_5x5"], stride=1, dtype=np.float64, n=1, c=2,
+         h=5, w=5, specials=[-0.0], seed=1)
+def test_mixed_op_keeps_the_bytes_of_a_relu_and_pad_per_conv(
+        names, stride, dtype, n, c, h, w, specials, seed):
+    """An edge whose separable convs share one relu value and one padded
+    copy gives the bytes of each op run on x alone: the output, x's
+    gradient, the alpha gradient and every weight gradient, over NaN from
+    +-inf and over -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    x.flat[rng.integers(x.size, size=len(specials))] = specials
+    a = rng.standard_normal(len(names))
+    ops = [make_op(name, c, stride, stream(seed, f"op/{name}"))
+           for name in names]
+    weights = [p for op in ops if isinstance(op, layers.Module)
+               for p in op.params()]
+
+    def run(forward):
+        for p in weights:
+            p.zero_grad()
+        xv, alpha = Var(x.copy()), Var(a.copy())
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            out = forward(xv, alpha, ops)
+            g = np.random.default_rng(seed + 1).standard_normal(
+                out.data.shape).astype(out.data.dtype)
+            out.backward(g)
+        return [out.data, xv.grad, alpha.grad] + [p.grad for p in weights]
+
+    ref = run(reference_mixed_op_forward)
+    got = run(mixed_op_forward)
+    assert [(v.dtype, v.shape) for v in got] == [(v.dtype, v.shape)
+                                                 for v in ref]
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+
+
+def test_supernet_forward_pads_once_per_edge(monkeypatch):
+    """The six separable convs of an edge read one copy of their relu input
+    with borders of their largest padding: one forward of a two-cell
+    supernet over every primitive pads once on each of its 10 edges, where
+    a pad per conv made 60."""
+    pads, real = [], layers._pad
+
+    def recording(x, pad):
+        pads.append(pad)
+        return real(x, pad)
+
+    monkeypatch.setattr(layers, "_pad", recording)
+    net = SearchNetwork(SearchConfig(num_nodes=4, num_cells=2, channels=8,
+                                     batch_size=16), 1, 2)
+    x = np.random.default_rng(0).random((16, 1, 16, 16), dtype=np.float32)
+    net(Var(x, requires_grad=False))
+    assert pads == [4] * 10
 
 
 def test_mixed_op_length_mismatch():
