@@ -33,14 +33,10 @@ So the forward is a K-row copy of the input and one BLAS product per
 sample and channel; the input gradient is the output gradient times the
 transposed band, then a shared 0/1 matrix product that adds each row's
 gradient onto the padded row it came from (`_row_adjoint`); the weight
-gradient is, per kernel row, one BLAS product per channel of the output
-gradient against the rows that kernel row read, summed along each band
-diagonal (`_band_taps`). The largest temporary is K times the padded
-input. The conv keeps the padded input for its backward; a caller that
-already holds it (a supernet edge's separable convs share one zero-bordered
-copy of their relu input) hands it over as `padded`. The rows are copied
-contiguously either way, so no bit depends on which. Since no product
-spans two samples, no bit depends on the batch.
+gradient is one BLAS product per channel of the output gradient against a
+channel-major copy of the K rows each output row read, summed along each
+band diagonal (`_band_taps`). The largest temporary is K times the padded
+input. Since no product spans two samples, no bit depends on the batch.
 The band's and the adjoint's zeros take part in the sums, so a non-finite
 input value reaches every output of its rows (0 * inf is NaN), and a
 non-finite output gradient every input gradient of its sample and channel;
@@ -223,18 +219,11 @@ def scatter_patches(g: np.ndarray, in_shape: tuple[int, int, int, int],
 
 
 def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
-           padding: int = 0, dilation: int = 1, depthwise: bool = False,
-           padded: np.ndarray | None = None) -> Var:
+           padding: int = 0, dilation: int = 1, depthwise: bool = False) -> Var:
     """2D convolution (cross-correlation) of `x` with the kernel `weights`:
     (Cout, Cin, K, K), or (C, 1, K, K) when depthwise. A circular kernel
-    comes in as `reparameterized` weights, so the conv never sees B.
-    `padded`, depthwise only, is `x.data` with zero borders of `padding`,
-    which the conv then reads (cast as its own copy would be) instead of
-    padding `x` again."""
+    comes in as `reparameterized` weights, so the conv never sees B."""
     n, c, h, w = x.data.shape
-    if padded is not None and (not depthwise or padded.shape != (
-            n, c, h + 2 * padding, w + 2 * padding)):
-        raise ValueError("padded must be a depthwise input with its borders")
     cout, cin, k, k2 = weights.data.shape
     if k != k2:
         raise ValueError("only square kernel extents are supported")
@@ -252,8 +241,7 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
         # the channel's band: one BLAS product per sample and channel, so
         # no bit depends on the batch
         dtype = np.result_type(x.data, weights.data)
-        xp = (_pad(x.data.astype(dtype, copy=False), padding)
-              if padded is None else padded.astype(dtype, copy=False))
+        xp = _pad(x.data.astype(dtype, copy=False), padding)
         hp, wp = xp.shape[2:]
         band = _band(weights.data.reshape(c, k, k).astype(dtype, copy=False),
                      wp, ow, stride, dilation)
@@ -267,7 +255,7 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
         w_mat = weights.data.reshape(cout, cin * k * k)
         patches = (np.ascontiguousarray(x.data) if pointwise
                    else extract_patches(x.data, k, stride, padding, dilation)
-                   ).reshape(n, cin * k * k, -1)
+                   ).reshape(n, cin * k * k, oh * ow)
         out = (w_mat @ patches).reshape(n, cout, oh, ow)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
@@ -280,22 +268,19 @@ def conv2d(x: Var, weights: Var, bias: Var | None, *, stride: int = 1,
             bias.accumulate(gl.sum(axis=(0, 2)))
         if weights.requires_grad:
             if depthwise:
-                # prod[c, kr, j, p] sums g[n, c, i, j] * xp[n, c, d*kr + s*i, p]
-                # over the batch and the output rows: per kernel row, one
-                # BLAS product per channel against a copy of the rows it
-                # read; slot (kr, kc) sums its band diagonal p = s*j + d*kc
-                # over j
+                # prod[c, j, kr, p] sums g[n, c, i, j] * xp[n, c, d*kr + s*i, p]
+                # over the batch and the output rows: one BLAS product per
+                # channel against a channel-major copy of the K rows each
+                # output row read; slot (kr, kc) sums its band diagonal
+                # p = s*j + d*kc over j
                 g_cn = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(
                     c, n * oh, ow)
-                prod = np.empty((c, k, ow, wp), np.result_type(g, xp))
-                windows = _row_windows(xp, k, oh, stride, dilation)
-                for kr in range(k):
-                    rows_kr = np.ascontiguousarray(
-                        windows[:, :, :, kr].transpose(1, 0, 2, 3))
-                    np.matmul(g_cn.transpose(0, 2, 1),
-                              rows_kr.reshape(c, n * oh, wp), out=prod[:, kr])
-                g_w = _band_taps(prod.transpose(0, 1, 3, 2), k, stride,
-                                 dilation).sum(axis=3)
+                rows_cn = np.ascontiguousarray(_row_windows(
+                    xp, k, oh, stride, dilation).transpose(1, 0, 2, 3, 4))
+                prod = g_cn.transpose(0, 2, 1) @ rows_cn.reshape(
+                    c, n * oh, k * wp)
+                g_w = _band_taps(prod.reshape(c, ow, k, wp).transpose(
+                    0, 2, 3, 1), k, stride, dilation).sum(axis=3)
             else:
                 g_w = (gl @ patches.transpose(0, 2, 1)).sum(axis=0)
             weights.accumulate(g_w.reshape(weights.data.shape))

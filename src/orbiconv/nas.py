@@ -66,18 +66,17 @@ class Zero(Module):
 
 
 class SepConv(Module):
-    """relu -> depthwise KxK -> pointwise 1x1 -> per-channel affine.
-
-    `SepConv(x)` applies its own relu and pads for its depthwise conv;
-    `after_relu` runs the rest on a relu output the caller made, and may
-    read that output's zero-padded copy from the caller too."""
+    """relu -> depthwise KxK -> pointwise 1x1 -> per-channel affine. The
+    relu and the depthwise conv's zero borders of `pad` are a node of
+    `_padded_relus`: one relu node per conv, for the order of x's gradient
+    sums, which holds the relu's backward closure, not its output."""
 
     def __init__(self, c: int, k: int, stride: int, *, dilation: int = 1,
                  mode: Mode = Mode.SQUARE, rng=None):
-        pad = dilation * (k - 1) // 2
-        self.depthwise = Conv2d(c, c, k, stride=stride, padding=pad,
-                                dilation=dilation, mode=mode,
-                                depthwise=True, bias=False, rng=rng)
+        self.pad = dilation * (k - 1) // 2
+        self.depthwise = Conv2d(c, c, k, stride=stride, dilation=dilation,
+                                mode=mode, depthwise=True, bias=False,
+                                rng=rng)
         if mode is Mode.CIRCULAR:
             # the transform shrinks the effective kernel's variance; rescale
             # the init so both kernel shapes start at the same output scale
@@ -88,18 +87,34 @@ class SepConv(Module):
         self.affine = ChannelAffine(c)
 
     def forward(self, x: Var) -> Var:
-        return self.after_relu(relu(x))
+        return self.after_relu(_padded_relus(x, [self.pad])[0])
 
-    def after_relu(self, r: Var, padded: np.ndarray | None = None) -> Var:
-        """The ops after the relu on r = relu(x); `padded`, if given, is
-        `r.data` with zero borders of the depthwise conv's padding. The
-        depthwise conv runs through `layers.conv2d` as looked up when
-        called, as a `Conv2d` runs it."""
-        d = self.depthwise
-        y = layers.conv2d(r, d.kernel(), None, stride=d.stride,
-                          padding=d.padding, dilation=d.dilation,
-                          depthwise=True, padded=padded)
-        return self.affine(self.pointwise(y))
+    def after_relu(self, r: Var) -> Var:
+        """The ops after the relu and the depthwise conv's zero borders."""
+        return self.affine(self.pointwise(self.depthwise(r)))
+
+
+def _padded_relus(x: Var, pads: list[int]) -> list[Var]:
+    """relu(x) with zero borders of each p in `pads`: one relu, copied once
+    into a buffer with borders of max(pads), and per p a node with parent x
+    whose value is the buffer's view with borders p and whose backward drops
+    them and runs the relu's. A node per conv, as a relu per conv, keeps the
+    order of x's gradient sums, so no byte moves; a node holds the relu's
+    backward closure, not the relu node, whose output would stay alive."""
+    r = relu(x)
+    relu_bw = r.backward_fn
+    border = max(pads)
+    buf = layers._pad(r.data, border)
+    h, w = x.data.shape[2:]
+
+    def node(p: int) -> Var:
+        def bw(g: np.ndarray) -> None:
+            relu_bw(g[:, :, p:p + h, p:p + w])
+
+        b = border - p
+        return Var(buf[:, :, b:b + h + 2 * p, b:b + w + 2 * p], (x,), bw)
+
+    return [node(p) for p in pads]
 
 
 # name -> (K, dilation, kernel shape) of each separable conv op
@@ -135,35 +150,20 @@ def make_op(name: str, c: int, stride: int, rng) -> Callable[[Var], Var]:
 
 def mixed_op_forward(x: Var, alpha: Var,
                      ops: list[Callable[[Var], Var]]) -> Var:
-    """Softmax(alpha)-weighted sum of the candidate operations.
-
-    The separable convs share one relu value and mask, written once into
-    a buffer with zero borders of their largest depthwise padding; each
-    depthwise conv reads an offset view of it. Each conv still gets its
-    own relu node over that value, with x as parent and the relu's
-    backward, so the tape and the order in which x's gradient sums its
-    terms are those of one relu per conv: the bytes do not move."""
+    """Softmax(alpha)-weighted sum of the candidate operations. The
+    separable convs share one `_padded_relus` buffer, with borders of their
+    largest padding, through a relu node each, for the order of x's
+    gradient sums; a node holds the relu's backward closure, not its
+    output, which the graph then does not keep."""
     if len(ops) == 0:
         raise ValueError("empty operation list")
     if alpha.data.shape != (len(ops),):
         raise ValueError("alpha length must match the operation count")
     w = softmax_vec(alpha)
     seps = [op for op in ops if isinstance(op, SepConv)]
-    if not seps:
-        return weighted_sum([op(x) for op in ops], w)
-    r = relu(x)
-    border = max(op.depthwise.padding for op in seps)
-    buf = layers._pad(r.data, border)
-    h, wd = x.data.shape[2:]
-    value = buf[:, :, border:border + h, border:border + wd]
-
-    def sep(op: SepConv) -> Var:
-        p = op.depthwise.padding
-        return op.after_relu(Var(value, (x,), r.backward_fn),
-                             buf[:, :, border - p:border + h + p,
-                                 border - p:border + wd + p])
-
-    return weighted_sum([sep(op) if isinstance(op, SepConv) else op(x)
+    relus = iter(_padded_relus(x, [op.pad for op in seps]) if seps else ())
+    return weighted_sum([op.after_relu(next(relus))
+                         if isinstance(op, SepConv) else op(x)
                          for op in ops], w)
 
 

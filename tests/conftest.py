@@ -11,12 +11,14 @@ import math
 
 import numpy as np
 
-from orbiconv.autodiff import Var, softmax_vec, tape, weighted_sum
+from orbiconv import layers
+from orbiconv.autodiff import Var, relu, softmax_vec, tape, weighted_sum
 from orbiconv.data import Dataset, _circular_footprint
 from orbiconv.experiments import WarpMode
 from orbiconv.geometry import (SamplePoint, SamplePointSet, circular_points,
                                square_points)
 from orbiconv.layers import reparameterized
+from orbiconv.nas import SepConv
 from orbiconv.transform import (TransformBuildError, TransformMatrix,
                                 bilinear_weight, reparameterize,
                                 transform_gradient_pushforward)
@@ -114,11 +116,21 @@ def reference_backward(root: Var) -> None:
             node.backward_fn(node.grad)
 
 
+def reference_sep_conv(op: SepConv, x: Var) -> Var:
+    """`nas.SepConv` as it ran before its relu and padding were shared: its
+    own relu of `x`, then a depthwise conv that pads that relu itself."""
+    d = op.depthwise
+    y = layers.conv2d(relu(x), d.kernel(), None, stride=d.stride,
+                      padding=op.pad, dilation=d.dilation, depthwise=True)
+    return op.affine(op.pointwise(y))
+
+
 def reference_mixed_op_forward(x: Var, alpha: Var, ops) -> Var:
     """`nas.mixed_op_forward` as it ran before an edge's separable convs
     shared one relu value and one padded copy of it: every op applied to
-    `x` on its own, so each separable conv makes its own relu and pad."""
-    return weighted_sum([op(x) for op in ops], softmax_vec(alpha))
+    `x` on its own, each separable conv as `reference_sep_conv`."""
+    return weighted_sum([reference_sep_conv(op, x) if isinstance(op, SepConv)
+                         else op(x) for op in ops], softmax_vec(alpha))
 
 
 def nan_as_one(a):

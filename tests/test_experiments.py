@@ -258,6 +258,22 @@ def test_unknown_shape_and_config_key_rejected():
         output_dir(cfg)
 
 
+@pytest.mark.parametrize("model", [
+    lambda: SmallCNN(shape="square", num_classes=3),
+    lambda: SmallCNN(shape="circle", kernel_size=5, num_classes=3),
+    lambda: SmallCNN(shape="integrated", num_classes=3),
+    lambda: SearchNetwork(SearchConfig(num_nodes=4, num_cells=2, channels=4,
+                                       op_names=list(PRIMITIVES)), 1, 3),
+], ids=["square", "circle", "integrated", "supernet"])
+def test_forward_of_an_empty_batch_gives_empty_logits(model):
+    """A forward of zero samples runs every layer on its shapes alone: the
+    dense convs, the depthwise convs, the pools and the head give (0, 3)
+    logits, where the dense conv's patch reshape used to raise."""
+    x = Var(np.zeros((0, 1, 16, 16), np.float32), requires_grad=False)
+    out = model()(x)
+    assert out.data.shape == (0, 3) and out.data.dtype == np.float32
+
+
 @pytest.mark.parametrize("n_per_class, batch_size", [(40, 16), (20, 16),
                                                      (40, 72)])
 def test_patch_rule_is_a_runs_largest_patch_matrix(monkeypatch, n_per_class,

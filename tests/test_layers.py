@@ -608,29 +608,38 @@ def _check_conv(n, cin, cout, h, w, k, stride, dil, pad, dtypes, circular,
     return ref, got
 
 
-def test_depthwise_conv_reads_a_padded_input_as_its_own_pad():
-    """A depthwise conv handed its input's zero-padded copy gives the bytes
-    of the conv that pads itself, also when it must cast that copy: a
-    float32 input under float64 weights. A copy of any other shape, or one
-    handed to a dense conv, is refused."""
-    rng = np.random.default_rng(0)
-    x_data = rng.standard_normal((2, 3, 6, 5)).astype(np.float32)
-    w_data = rng.standard_normal((3, 1, 3, 3))
-    g = rng.standard_normal((2, 3, 3, 3))
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32),
+                                    (np.float64, np.float64),
+                                    (np.float32, np.float64)],
+                         ids=["f32", "f64", "f32-f64"])
+@pytest.mark.parametrize("stride, pad, dil", [(1, 1, 1), (2, 1, 1),
+                                              (1, 4, 2), (2, 2, 2)])
+def test_unpadded_depthwise_conv_of_a_padded_input_is_the_padded_conv(
+        dtypes, stride, pad, dil):
+    """An unpadded depthwise conv of a zero-padded input, as a separable
+    conv runs on its `_padded_relus` node, gives the bytes of the conv that
+    pads itself: the output, the weight gradient and, on the interior, the
+    input gradient, also when a float32 input meets float64 weights."""
+    rng = np.random.default_rng(stride + pad)
+    x_data = rng.standard_normal((2, 3, 6, 5)).astype(dtypes[0])
+    x_data.flat[[1, 7, 20]] = [-0.0, np.inf, -np.inf]
+    w_data = rng.standard_normal((3, 1, 3, 3)).astype(dtypes[1])
 
-    def run(padded):
-        x, wt = Var(x_data.copy()), Var(w_data.copy())
-        out = conv2d(x, wt, None, stride=2, padding=1, dilation=1,
-                     depthwise=True, padded=padded)
-        out.backward(g)
-        return [a.tobytes() for a in (out.data, x.grad, wt.grad)]
+    def run(x_in, padding):
+        x, wt = Var(x_in.copy()), Var(w_data.copy())
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            out = conv2d(x, wt, None, stride=stride, padding=padding,
+                         dilation=dil, depthwise=True)
+            out.backward(np.random.default_rng(0).standard_normal(
+                out.data.shape).astype(out.data.dtype))
+        return out.data, wt.grad, x.grad
 
-    assert run(layers._pad(x_data, 1)) == run(None)
-    with pytest.raises(ValueError, match="padded"):
-        run(layers._pad(x_data, 2))
-    with pytest.raises(ValueError, match="padded"):
-        conv2d(Var(x_data), Var(rng.standard_normal((3, 3, 3, 3))), None,
-               padding=1, padded=layers._pad(x_data, 1))
+    out, g_w, g_x = run(x_data, pad)
+    out_p, g_w_p, g_xp = run(layers._pad(x_data, pad), 0)
+    assert out_p.tobytes() == out.tobytes()
+    assert g_w_p.tobytes() == g_w.tobytes()
+    assert np.ascontiguousarray(
+        g_xp[:, :, pad:-pad, pad:-pad]).tobytes() == g_x.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_mixed_op_forward
+from conftest import reference_mixed_op_forward, reference_sep_conv
 from orbiconv import layers
 from orbiconv.autodiff import Var, frozen
 from orbiconv.data import MAX_BYTES, Dataset, Split, SynthKind, gen_synthetic
@@ -206,11 +206,44 @@ def test_mixed_op_keeps_the_bytes_of_a_relu_and_pad_per_conv(
     assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("name", list(SEP_CONVS))
+def test_sep_conv_keeps_the_bytes_of_its_own_relu_and_pad(name, stride,
+                                                           dtype):
+    """A bare `SepConv(x)`, whose relu and padding are a `_padded_relus`
+    node, gives the bytes of its own relu and a depthwise conv that pads
+    it: the output, x's gradient and every weight gradient, over NaN from
+    +-inf and over -0.0."""
+    rng = np.random.default_rng(stride)
+    x = rng.standard_normal((2, 3, 7, 6)).astype(dtype)
+    x.flat[[0, 5, 17, 40]] = [-0.0, np.inf, -np.inf, -0.0]
+    op = make_op(name, 3, stride, stream(0, f"op/{name}"))
+
+    def run(forward):
+        for p in op.params():
+            p.zero_grad()
+        xv = Var(x.copy())
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            out = forward(xv)
+            out.backward(np.random.default_rng(1).standard_normal(
+                out.data.shape).astype(out.data.dtype))
+        return [out.data, xv.grad] + [p.grad for p in op.params()]
+
+    ref = run(lambda xv: reference_sep_conv(op, xv))
+    got = run(op)
+    assert [(v.dtype, v.shape) for v in got] == [(v.dtype, v.shape)
+                                                 for v in ref]
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+
+
 def test_supernet_forward_pads_once_per_edge(monkeypatch):
     """The six separable convs of an edge read one copy of their relu input
     with borders of their largest padding: one forward of a two-cell
-    supernet over every primitive pads once on each of its 10 edges, where
-    a pad per conv made 60."""
+    supernet over every primitive copies an input into a zero border once
+    on each of its 10 edges, where a pad per conv made 60. (Its depthwise
+    convs, given inputs that hold their borders, pad by 0, which copies
+    nothing.)"""
     pads, real = [], layers._pad
 
     def recording(x, pad):
@@ -222,7 +255,7 @@ def test_supernet_forward_pads_once_per_edge(monkeypatch):
                                      batch_size=16), 1, 2)
     x = np.random.default_rng(0).random((16, 1, 16, 16), dtype=np.float32)
     net(Var(x, requires_grad=False))
-    assert pads == [4] * 10
+    assert [pad for pad in pads if pad > 0] == [4] * 10
 
 
 def test_mixed_op_length_mismatch():
